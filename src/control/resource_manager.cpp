@@ -289,7 +289,17 @@ Status ResourceManager::write_virtual(dp::RunproDataplane& dataplane, ProgramId 
     return Error{"virtual address out of range", "ResourceManager",
                  ErrorCode::OutOfRange};
   }
-  dataplane.rpb(it->second.rpb).memory().write(it->second.block.base + vaddr, value);
+  // Through apply(), like every control memory write: the word lands in
+  // the master RPB memory and in every shard pipe's copy.
+  dp::WriteOp op;
+  op.kind = dp::WriteOp::Kind::WriteMemRange;
+  op.mem_rpb = it->second.rpb;
+  op.mem_base = it->second.block.base + vaddr;
+  op.mem_size = 1;
+  op.mem_words = {value};
+  op.vmem = vmem;
+  auto applied = dataplane.apply(op);
+  if (!applied.ok()) return applied.error();
   return {};
 }
 

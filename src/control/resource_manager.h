@@ -87,6 +87,8 @@ class ResourceManager {
 
   /// Control-plane memory access with virtual->physical translation
   /// (paper §3.2): read/write bucket `vaddr` of `vmem` of program `id`.
+  /// Reads come from the master pipe; writes reach every pipe (the master
+  /// and each shard's register memory), as RunproDataplane::apply does.
   [[nodiscard]] Result<Word> read_virtual(const dp::RunproDataplane& dataplane,
                                           ProgramId id, const std::string& vmem,
                                           MemAddr vaddr) const;

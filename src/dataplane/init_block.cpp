@@ -104,12 +104,8 @@ void InitBlock::process(rmt::Phv& phv) {
       l4_src,
       l4_dst,
       pkt.eth.ether_type};
-  // Bound (snapshot) lookups use a null stats sink: the snapshot tables
-  // are shared across shards and their probe counters must stay untouched.
-  const ProgramId* program =
-      bound_ != nullptr
-          ? (*bound_)[static_cast<std::size_t>(path)].lookup(fields, nullptr)
-          : tables_[static_cast<std::size_t>(path)].lookup(fields);
+  const auto& tables = bound_ != nullptr ? *bound_ : tables_;
+  const ProgramId* program = tables[static_cast<std::size_t>(path)].lookup(fields);
   if (program != nullptr) {
     phv.program_id = *program;
     if (*program < claimed_.size()) {

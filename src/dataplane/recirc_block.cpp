@@ -13,11 +13,7 @@ void RecircBlock::process(rmt::Phv& phv) {
   if (table.size() == 0) return;
   const std::array<Word, 2> fields = {static_cast<Word>(phv.program_id),
                                       static_cast<Word>(phv.recirc_id)};
-  // Bound (snapshot) lookups drop probe accounting: the snapshot table is
-  // shared across shards and its mutable stats member must stay untouched.
-  const bool hit = bound_ != nullptr ? table.lookup(fields, nullptr) != nullptr
-                                     : table.lookup(fields) != nullptr;
-  if (hit) {
+  if (table.lookup(fields) != nullptr) {
     phv.recirculate = true;
     if (phv.trace != nullptr) {
       phv.trace->push_back("recirc: another round (r" +

@@ -34,8 +34,8 @@ class RecircBlock final : public rmt::PipelineStage {
 
   /// Redirect lookups to a frozen snapshot table (nullptr = back to the
   /// own/master table). Shard instances are re-bound at every batch start;
-  /// bound lookups use a null stats sink so concurrent readers of one
-  /// snapshot never write shared state.
+  /// lookups write no table state, so concurrent readers of one snapshot
+  /// never race.
   void bind_table(const rmt::TernaryTable<bool, 2>* table) noexcept {
     bound_ = table;
   }

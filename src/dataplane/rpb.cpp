@@ -29,64 +29,26 @@ Rpb::Rpb(int physical_id, bool ingress, std::uint32_t memory_size,
 
 void Rpb::process(rmt::Phv& phv) {
   if (phv.program_id == 0) return;  // no program claimed this packet
-
-  const bool bound = bound_ != nullptr;
   const RpbTable& table = read_table();
-  // Provisioned-but-unused stage: nothing can match. Skip the cache and
-  // lookup machinery but keep the per-stage miss accounting identical.
-  if (table.size() == 0) {
-    if (stats_ != nullptr) ++stats_->table_misses;
-    ++phv.pkt_table_misses;
-    return;
-  }
+  step(table.bucket(phv.program_id), table.has_wildcards() ? &table : nullptr, phv);
+}
 
-  // Match cache: the winning entry for a (program, branch, recirc) triple
-  // is a pure function of the triple unless some candidate entry keys on
-  // the Har/Sar/Mar registers. Serve repeats from the cache; revalidate
-  // against the table generation (master path) or the bound snapshot's
-  // never-repeating epoch (sharded path) so entry churn and snapshot swaps
-  // both invalidate instantly and a stale slot can never resurrect a
-  // pointer into a superseded snapshot.
-  const std::uint64_t tag = bound ? bound_epoch_ : table.generation();
-  const std::uint64_t key = cache_key(phv.program_id, phv.branch_id, phv.recirc_id);
-  CacheSlot& slot = match_cache_[cache_slot_index(key)];
-  const RpbAction* action;
-  if (slot.tag == tag && slot.key == key) {
-    action = slot.action;
-    ++match_cache_hits_;
-    if (stats_ != nullptr) ++stats_->match_cache_hits;
-  } else {
-    const std::array<Word, kRpbKeyWidth> fields = {
-        static_cast<Word>(phv.program_id), static_cast<Word>(phv.branch_id),
-        static_cast<Word>(phv.recirc_id),  phv.reg(Reg::Har),
-        phv.reg(Reg::Sar),                 phv.reg(Reg::Mar)};
-    // Bound (snapshot) lookups use a null stats sink: the snapshot table
-    // is shared across shards and its probe counters must stay untouched.
-    action = bound ? table.lookup(fields, nullptr) : table.lookup(fields);
-    if ((table.key_use(phv.program_id) & kRegisterKeyMask) == 0) {
-      slot = CacheSlot{tag, key, action};
-    }
-  }
-  if (action == nullptr) {
-    if (stats_ != nullptr) ++stats_->table_misses;
-    ++phv.pkt_table_misses;
-    return;
-  }
+void Rpb::run_action(const RpbAction& action, rmt::Phv& phv) {
   // The entry's owner tag and the claiming program must agree: entries are
   // keyed exactly on the program id, so a mismatch means a corrupted plan.
-  assert(action->owner == 0 || action->owner == phv.program_id);
+  assert(action.owner == 0 || action.owner == phv.program_id);
   if (stats_ != nullptr) {
     ++stats_->table_hits;
-    if (action->op.kind == OpKind::Mem) ++stats_->salu_execs;
+    if (action.op.kind == OpKind::Mem) ++stats_->salu_execs;
   }
   ++phv.pkt_table_hits;
-  if (action->op.kind == OpKind::Mem) ++phv.pkt_salu_execs;
+  if (action.op.kind == OpKind::Mem) ++phv.pkt_salu_execs;
   if (phv.trace != nullptr) {
     phv.trace->push_back("RPB" + std::to_string(physical_id_) + " r" +
                          std::to_string(phv.recirc_id) + " b" +
-                         std::to_string(phv.branch_id) + ": " + action->op.str() +
-                         (action->next_branch
-                              ? " -> b" + std::to_string(*action->next_branch)
+                         std::to_string(phv.branch_id) + ": " + action.op.str() +
+                         (action.next_branch
+                              ? " -> b" + std::to_string(*action.next_branch)
                               : ""));
   }
   if (phv.trace_events != nullptr) {
@@ -95,12 +57,12 @@ void Rpb::process(rmt::Phv& phv) {
     event.stage = physical_id_;
     event.round = phv.recirc_id;
     event.branch = phv.branch_id;
-    event.op = action->op.str();
-    if (action->next_branch) event.next_branch = *action->next_branch;
+    event.op = action.op.str();
+    if (action.next_branch) event.next_branch = *action.next_branch;
     phv.trace_events->push_back(std::move(event));
   }
-  execute(action->op, phv);
-  if (action->next_branch) phv.branch_id = *action->next_branch;
+  execute(action.op, phv);
+  if (action.next_branch) phv.branch_id = *action.next_branch;
 }
 
 void Rpb::execute(const AtomicOp& op, rmt::Phv& phv) {

@@ -5,10 +5,9 @@
 // hash unit.
 #pragma once
 
-#include <array>
-#include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <span>
 
 #include "common/types.h"
 #include "dataplane/atomic_op.h"
@@ -54,7 +53,31 @@ class Rpb final : public rmt::PipelineStage {
   Rpb(int physical_id, bool ingress, std::uint32_t memory_size,
       std::uint32_t table_capacity);
 
+  /// Per-stage reference path: find this program's bucket span in the
+  /// table lookups read, then run the same step routine the chain's plans
+  /// run (see RpbChain).
   void process(rmt::Phv& phv) override;
+
+  /// One match-action step for a claimed packet: the first entry of
+  /// `entries` (this program's bucket span, in lookup order) that matches,
+  /// bettered by `wildcards`' tuple-space search when that table holds
+  /// non-exact-first-key entries (nullptr otherwise), then the winner's
+  /// operation. A miss counts one table miss, as any stage without a match.
+  void step(std::span<const RpbTable::Entry> entries, const RpbTable* wildcards,
+            rmt::Phv& phv) {
+    const RpbTable::Fields fields = {
+        static_cast<Word>(phv.program_id), static_cast<Word>(phv.branch_id),
+        static_cast<Word>(phv.recirc_id),  phv.reg(Reg::Har),
+        phv.reg(Reg::Sar),                 phv.reg(Reg::Mar)};
+    const RpbTable::Entry* winner = RpbTable::first_match(entries, fields);
+    if (wildcards != nullptr) winner = wildcards->best_wildcard_match(fields, winner);
+    if (winner == nullptr) {
+      if (stats_ != nullptr) ++stats_->table_misses;
+      ++phv.pkt_table_misses;
+      return;
+    }
+    run_action(winner->action, phv);
+  }
 
   /// Entry management (called by the update engine). Always the master
   /// table, even when a snapshot is bound: control writes never touch a
@@ -64,21 +87,29 @@ class Rpb final : public rmt::PipelineStage {
 
   /// Redirect match lookups to a frozen snapshot table, tagged with the
   /// snapshot's globally unique epoch (nullptr/0 = back to the own table).
-  /// Shard instances are re-bound at every batch start. The epoch becomes
-  /// the match-cache validity tag: epochs never repeat, so a cache slot
-  /// filled against a superseded snapshot can never validate again — a
-  /// per-table generation could collide across snapshots whose OTHER
-  /// tables differ, and the cached action pointer would dangle into freed
-  /// snapshot storage.
+  /// Shard instances are re-bound at every batch start; a bind that changes
+  /// the (table, epoch) pair counts as a write to the linked plan version,
+  /// so the chain recompiles its plans against the new snapshot. The epoch
+  /// is part of the check because a new snapshot may reuse a freed one's
+  /// address.
   void bind_table(const RpbTable* table, std::uint64_t epoch) noexcept {
+    if (table == bound_ && epoch == bound_epoch_) return;
     bound_ = table;
     bound_epoch_ = epoch;
+    if (plan_version_ != nullptr) ++*plan_version_;
   }
 
   /// The table lookups currently read from: the bound snapshot table when
   /// sharded, the own/master table otherwise.
   [[nodiscard]] const RpbTable& read_table() const noexcept {
     return bound_ != nullptr ? *bound_ : table_;
+  }
+
+  /// Count every later write to the own table and every rebind into
+  /// `*version` (nullptr unlinks). Set by the RpbChain running this RPB.
+  void link_plan_version(std::uint64_t* version) noexcept {
+    plan_version_ = version;
+    table_.link_write_counter(version);
   }
 
   rmt::StageMemory& memory() noexcept { return memory_; }
@@ -92,58 +123,20 @@ class Rpb final : public rmt::PipelineStage {
   /// by the data plane at provisioning time.
   void set_stage_stats(rmt::StageStats* stats) noexcept { stats_ = stats; }
 
-  /// Packets whose winning entry was served from the match cache since
-  /// provisioning (also mirrored into StageStats::match_cache_hits).
-  [[nodiscard]] std::uint64_t match_cache_hits() const noexcept {
-    return match_cache_hits_;
-  }
-
  private:
+  /// A hit: counters, tracing, the operation and the branch transition.
+  void run_action(const RpbAction& action, rmt::Phv& phv);
   void execute(const AtomicOp& op, rmt::Phv& phv);
-
-  /// Direct-mapped match cache over the (program, branch, recirc) control
-  /// flags. A cached winner is valid only while the validity tag is
-  /// unchanged AND no entry that could match the program keys on the
-  /// Har/Sar/Mar components (checked via RpbTable::key_use at fill time),
-  /// so conditional-branch and register-keyed programs stay exact. Misses
-  /// (nullptr winners) are cached too under the same validity rule.
-  /// The tag is the own table's generation on the master path and the
-  /// bound snapshot's epoch on the sharded path (see bind_table).
-  struct CacheSlot {
-    std::uint64_t tag = 0;  ///< 0 = empty (generations and epochs start at 1)
-    std::uint64_t key = 0;  ///< packed (program, branch, recirc) triple
-    const RpbAction* action = nullptr;
-  };
-  static constexpr std::size_t kMatchCacheSlots = 64;  // power of two
-  static constexpr std::uint32_t kRegisterKeyMask =
-      (1u << kKeyHar) | (1u << kKeySar) | (1u << kKeyMar);
-
-  /// The (program, branch, recirc) control flags packed into one word so a
-  /// cache probe is a single compare (ids are 16/16/8 bits).
-  [[nodiscard]] static std::uint64_t cache_key(ProgramId program, BranchId branch,
-                                               RecircId recirc) noexcept {
-    return (static_cast<std::uint64_t>(program) << 32) |
-           (static_cast<std::uint64_t>(branch) << 8) |
-           static_cast<std::uint64_t>(recirc);
-  }
-
-  [[nodiscard]] static std::size_t cache_slot_index(std::uint64_t key) noexcept {
-    const std::uint32_t h =
-        static_cast<std::uint32_t>(key >> 32) * 0x9e3779b1u ^
-        static_cast<std::uint32_t>(key);
-    return (h ^ (h >> 16)) & (kMatchCacheSlots - 1);
-  }
 
   int physical_id_;
   bool ingress_;
   RpbTable table_;
   const RpbTable* bound_ = nullptr;
   std::uint64_t bound_epoch_ = 0;
+  std::uint64_t* plan_version_ = nullptr;
   rmt::StageMemory memory_;
   rmt::HashAlgo hash16_;
   rmt::StageStats* stats_ = nullptr;
-  std::array<CacheSlot, kMatchCacheSlots> match_cache_{};
-  std::uint64_t match_cache_hits_ = 0;
 };
 
 }  // namespace p4runpro::dp

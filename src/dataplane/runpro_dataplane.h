@@ -4,7 +4,7 @@
 //
 // Sharded multi-pipe mode (off by default): enable_sharding(N) models an
 // N-pipe switch. Each shard is a full extra pipeline (own register memory,
-// match caches, ports, claim counters — the hardware's pipe-local state)
+// RPB chain plans, ports, claim counters — the hardware's pipe-local state)
 // whose match tables are re-bound at every batch start to the current
 // immutable TableSnapshot published through the SnapshotHub. The master
 // blocks stay the control plane's mutable copy: apply/undo and the rollback
@@ -135,7 +135,7 @@ class RunproDataplane {
 
  private:
   /// One hardware pipe: a full pipeline with its own blocks. The blocks'
-  /// mutable state (register memory, claim counters, match caches, port
+  /// mutable state (register memory, claim counters, chain plans, port
   /// counters) is pipe-local; their match tables are bound per batch to
   /// the acquired snapshot and never consulted unbound.
   struct PipeShard {

@@ -4,19 +4,20 @@
 //   - the five init-block filtering tables (packet -> program claim),
 //   - every RPB's match-action table (compiled ternary buckets, priorities,
 //     action bindings — the RpbAction payloads live inside the copied
-//     entries, so cached action pointers stay valid for the snapshot's
-//     whole grace period),
+//     entries, so the bucket spans a shard's RPB chain plans point at stay
+//     valid for the snapshot's whole grace period),
 //   - the recirculation table,
 //   - the table trace id / generation of the control operation that
 //     produced it (satellite of note_table_update: the values travel with
 //     the snapshot, so a packet observation always names the exact table
 //     state it matched against, never a racy pipeline member).
-// Register memory, counters and match caches are NOT part of a snapshot:
-// they are per-shard mutable state (one StageMemory per pipe per stage).
+// Register memory, counters and compiled chain plans are NOT part of a
+// snapshot: they are per-shard mutable state (one StageMemory per pipe per
+// stage, one plan set per pipe per chain).
 //
-// After construction a snapshot is never mutated; shard readers use the
-// stats-sink lookup overloads (see rmt/tables.h) so concurrent reads are
-// free of data races.
+// After construction a snapshot is never mutated, and table lookups write
+// no table state (see rmt/tables.h), so concurrent reads are free of data
+// races.
 #pragma once
 
 #include <array>
@@ -40,7 +41,9 @@ struct TableSnapshot {
 
   /// Unique, monotonically increasing publish id, assigned by the hub at
   /// publish time (0 = never published). Epochs never repeat, which is what
-  /// makes them safe match-cache validity tags across snapshot swaps.
+  /// lets a shard's RPBs tell a new snapshot from an old one at a reused
+  /// address (Rpb::bind_table), so its chain plans never outlive their
+  /// snapshot.
   std::uint64_t epoch = 0;
 
   /// Causal trace id of the control operation whose tables these are, and

@@ -59,9 +59,9 @@ struct StageStats {
   std::uint64_t table_hits = 0;
   std::uint64_t table_misses = 0;
   std::uint64_t salu_execs = 0;
-  /// Lookups served from an RPB's (program, branch, recirc) match cache
-  /// instead of a full table scan (hits and misses both count as their
-  /// respective table_* outcome as well).
+  /// Always 0: RPB lookups run through compiled per-program plans
+  /// (dataplane/rpb_chain.h), not a match cache. Kept because the
+  /// rmt.stage.match_cache_hits probe and the benchmark ledger read it.
   std::uint64_t match_cache_hits = 0;
 };
 

@@ -228,6 +228,40 @@ TEST(Snapshot, RollbackNeverPublishes) {
   EXPECT_EQ(hub->publishes(), publishes_before + 1);
 }
 
+// Controller::write_memory reaches every pipe, not only the master: on a
+// 1-shard bed, lb's port pool set through the control plane steers shard
+// traffic exactly as it steers master traffic.
+TEST(SnapshotWriteMemory, WriteMemoryReachesShardPipes) {
+  Bed bed;
+  bed.dataplane.enable_sharding(1);
+  apps::ProgramConfig config;
+  config.instance_name = "lb";
+  config.mem_buckets = 4;
+  auto linked = bed.controller.link_single(apps::make_program_source("lb", config));
+  ASSERT_TRUE(linked.ok()) << linked.error().str();
+  for (MemAddr b = 0; b < 4; ++b) {
+    ASSERT_TRUE(bed.controller.write_memory(linked.value().id, "port_pool", b, 1).ok());
+  }
+
+  // lb claims 10.0/16 destinations; a port pool of all 1s forwards every
+  // packet to port 1 (a pipe that missed the write would pick port 0).
+  std::vector<rmt::Packet> pkts;
+  for (Word i = 0; i < 16; ++i) {
+    rmt::Packet pkt = udp_packet(0, 0, 5000);
+    pkt.ipv4->src = 0x0b000000u + i;
+    pkt.ipv4->dst = 0x0a000100u + i;
+    pkts.push_back(pkt);
+  }
+  const auto shard = bed.dataplane.inject_batch_on(0, pkts);
+  EXPECT_EQ(shard.forwarded, pkts.size());
+  EXPECT_EQ(bed.dataplane.shard_pipeline(0).port_counters(1).packets, pkts.size());
+  EXPECT_EQ(bed.dataplane.shard_pipeline(0).port_counters(0).packets, 0u);
+
+  const auto master = bed.dataplane.inject_batch(pkts);
+  EXPECT_EQ(master.forwarded, pkts.size());
+  EXPECT_EQ(bed.dataplane.pipeline().port_counters(1).packets, pkts.size());
+}
+
 // Deploy under fire: shard workers inject batches nonstop while the control
 // plane churns installs and removes through the async writer. Every batch
 // must complete against exactly one snapshot — all of its packets claimed

@@ -1,17 +1,20 @@
-// Differential tests for the compiled-bucket TernaryTable against a naive
-// reference scan, plus regression tests for the fast-path machinery this
-// table feeds: handle-indexed erase (touches only the owning bucket) and
-// the RPB (program, branch, recirc) match cache with its two invalidation
-// rules (table generation churn; register-keyed entries disable caching).
+// Differential tests for TernaryTable (exact-first-key buckets plus the
+// tuple-space wildcard index) against a naive reference scan, plus
+// regression tests for the fast-path machinery this table feeds:
+// handle-indexed erase (touches only the owning bucket) and the RPB chain's
+// compiled per-program plans (invalidated by inserts and erases; exact for
+// register-keyed entries and misses).
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <random>
 #include <vector>
 
 #include "dataplane/rpb.h"
+#include "dataplane/rpb_chain.h"
 #include "rmt/phv.h"
 #include "rmt/tables.h"
 
@@ -79,15 +82,22 @@ class ReferenceTable {
 
 // --- randomized differential ----------------------------------------------
 
-TEST(TernaryEquiv, RandomizedDifferentialAgainstNaiveScan) {
-  constexpr int kWidth = 3;
+/// One randomized differential run: `ops` mixed inserts, erases and
+/// lookups against the naive reference. `wildcard_share` of the inserts
+/// get a non-exact first key (the tuple-space pool); the rest use the
+/// exact-first-key buckets. `masks` is the per-component mask menu, so its
+/// size sets how many distinct mask tuples the pool grows.
+template <int kWidth>
+void run_differential(std::uint32_t seed, int ops, unsigned wildcard_share_pct,
+                      const std::vector<Word>& masks, Word value_range,
+                      int priority_levels) {
   TernaryTable<int, kWidth> table(kWidth, 100000);
   ReferenceTable ref(kWidth);
-  std::mt19937 rng(20240807);
+  std::mt19937 rng(seed);
 
   // First-key values mix the dense-indexed range, the hash-map fallback
-  // range (>= the dense limit of 4096), and wildcards; later components mix
-  // exact, partial-mask and wildcard keys so priorities matter.
+  // range (>= the dense limit of 4096) and small values the partial masks
+  // overlap with.
   const auto random_first_value = [&]() -> Word {
     switch (rng() % 3) {
       case 0: return rng() % 6;            // dense, heavy collisions
@@ -95,14 +105,7 @@ TEST(TernaryEquiv, RandomizedDifferentialAgainstNaiveScan) {
       default: return 1000 + rng() % 8;    // dense, light collisions
     }
   };
-  const auto random_key = [&](bool first) -> TernaryKey {
-    const Word v = first ? random_first_value() : rng() % 8;
-    switch (rng() % 3) {
-      case 0: return TernaryKey::any();
-      case 1: return TernaryKey::exact(v);
-      default: return TernaryKey{v, 0x7u};  // partial mask
-    }
-  };
+  const auto random_mask = [&]() { return masks[rng() % masks.size()]; };
 
   struct Live {
     rmt::EntryHandle handle;
@@ -111,19 +114,29 @@ TEST(TernaryEquiv, RandomizedDifferentialAgainstNaiveScan) {
   std::vector<Live> live;
   int next_action = 0;
 
-  for (int op = 0; op < 6000; ++op) {
+  for (int op = 0; op < ops; ++op) {
+    // Alternate insert-heavy and erase-heavy phases so tuples and groups
+    // empty out, get reused and refill.
+    const bool erase_phase = (op / 500) % 3 == 2;
     const unsigned pick = rng() % 10;
-    if (pick < 4) {  // insert
+    if (pick < (erase_phase ? 1u : 4u)) {  // insert
       std::vector<TernaryKey> keys;
-      keys.push_back(random_key(/*first=*/true));
-      for (int i = 1; i < kWidth; ++i) keys.push_back(random_key(false));
-      const int priority = static_cast<int>(rng() % 4);  // few levels: ties abound
+      const bool wildcard = rng() % 100 < wildcard_share_pct;
+      Word first_mask = wildcard ? random_mask() : 0xffffffffu;
+      if (wildcard && first_mask == 0xffffffffu) first_mask = 0;
+      keys.push_back(TernaryKey{random_first_value(), first_mask});
+      for (int i = 1; i < kWidth; ++i) {
+        keys.push_back(TernaryKey{static_cast<Word>(rng() % value_range), random_mask()});
+      }
+      // Few levels: ties abound, within a tuple, across tuples and between
+      // a bucket and the pool.
+      const int priority = static_cast<int>(rng() % static_cast<unsigned>(priority_levels));
       const int action = next_action++;
       auto inserted = table.insert(keys, priority, action);
       ASSERT_TRUE(inserted.ok());
       const std::uint64_t order = ref.insert(std::move(keys), priority, action);
       live.push_back({inserted.value(), order});
-    } else if (pick < 6 && !live.empty()) {  // erase
+    } else if (pick < (erase_phase ? 7u : 6u) && !live.empty()) {  // erase
       const std::size_t victim = rng() % live.size();
       ASSERT_TRUE(table.erase(live[victim].handle));
       ASSERT_TRUE(ref.erase(live[victim].order));
@@ -131,19 +144,34 @@ TEST(TernaryEquiv, RandomizedDifferentialAgainstNaiveScan) {
     } else {  // lookup
       std::array<Word, kWidth> fields;
       fields[0] = random_first_value();
-      for (int i = 1; i < kWidth; ++i) fields[static_cast<std::size_t>(i)] = rng() % 8;
+      for (int i = 1; i < kWidth; ++i) {
+        fields[static_cast<std::size_t>(i)] = rng() % value_range;
+      }
       const int* got = table.lookup(fields);
       const std::optional<int> want = ref.lookup(fields);
       if (want.has_value()) {
-        ASSERT_NE(got, nullptr) << "op " << op;
+        ASSERT_NE(got, nullptr) << "seed " << seed << " op " << op;
         // Same winner, including priority ties resolved by insertion order.
-        EXPECT_EQ(*got, *want) << "op " << op;
+        EXPECT_EQ(*got, *want) << "seed " << seed << " op " << op;
       } else {
-        EXPECT_EQ(got, nullptr) << "op " << op;
+        EXPECT_EQ(got, nullptr) << "seed " << seed << " op " << op;
       }
     }
   }
   EXPECT_EQ(table.size(), live.size());
+}
+
+TEST(TernaryEquiv, RandomizedDifferentialAgainstNaiveScan) {
+  // Exact buckets and a small pool: exact / partial / wildcard components.
+  run_differential<3>(20240807, 6000, 67, {0u, 0xffffffffu, 0x7u}, 8, 4);
+  // Wildcard-heavy pools with many mask tuples (6 masks over 4 components)
+  // and only two priority levels, so equal-priority candidates in
+  // different tuples decide by handle.
+  for (std::uint32_t seed : {1u, 2u, 3u}) {
+    run_differential<4>(seed, 9000, 85, {0u, 0xffffffffu, 0x1u, 0x3u, 0x6u, 0xcu}, 16, 2);
+  }
+  // Filter-table shape: width 7, everything in the pool.
+  run_differential<7>(77, 6000, 100, {0u, 0u, 0xffffffffu, 0xff00u}, 4, 3);
 }
 
 TEST(TernaryEquiv, EraseOfUnknownHandleIsRejected) {
@@ -194,7 +222,11 @@ TEST(TernaryEquiv, EraseTouchesOnlyTheOwningBucket) {
   EXPECT_LE(table.stats().erase_probes, 9u);  // pool held 9 entries
 }
 
-// --- RPB match-cache validity ---------------------------------------------
+// --- RPB chain plan validity ----------------------------------------------
+//
+// The scenarios a cached match path must get right, driven through a
+// one-RPB chain: its per-program plan is compiled once and reused, and must
+// follow every insert and erase, register-keyed entries, and misses.
 
 rmt::Phv claimed_phv(ProgramId program, BranchId branch = 0, RecircId recirc = 0) {
   rmt::Phv phv;
@@ -213,73 +245,81 @@ std::array<TernaryKey, dp::kRpbKeyWidth> rpb_keys(ProgramId program) {
   return keys;
 }
 
-TEST(RpbMatchCache, RepeatLookupsAreServedFromTheCache) {
-  dp::Rpb rpb(1, /*ingress=*/true, 64, 64);
-  rmt::StageStats stats;
-  rpb.set_stage_stats(&stats);
-  auto keys = rpb_keys(1);
-  ASSERT_TRUE(rpb.table().insert(keys, 0, dp::RpbAction{dp::AtomicOp::nop(), {}, 1}).ok());
+/// One RPB run through a chain, as the data plane wires it.
+struct OneStageChain {
+  explicit OneStageChain(rmt::StageStats* stats = nullptr)
+      : rpb(std::make_shared<dp::Rpb>(1, /*ingress=*/true, 64, 64)),
+        chain(std::vector<std::shared_ptr<dp::Rpb>>{rpb}, stats) {
+    rpb->set_stage_stats(stats);
+  }
+  std::shared_ptr<dp::Rpb> rpb;
+  dp::RpbChain chain;
+};
 
+TEST(RpbMatchCache, RepeatLookupsAreServedFromTheCache) {
+  rmt::StageStats stats;
+  OneStageChain bed(&stats);
+  auto keys = rpb_keys(1);
+  ASSERT_TRUE(
+      bed.rpb->table().insert(keys, 0, dp::RpbAction{dp::AtomicOp::nop(), {}, 1}).ok());
+
+  // The first packet compiles program 1's plan, the next four reuse it.
   for (int i = 0; i < 5; ++i) {
     auto phv = claimed_phv(1);
-    rpb.process(phv);
+    bed.chain.process(phv);
     EXPECT_EQ(phv.pkt_table_hits, 1u);
   }
-  // First packet fills the slot, the next four hit it.
-  EXPECT_EQ(rpb.match_cache_hits(), 4u);
-  EXPECT_EQ(stats.match_cache_hits, 4u);
   EXPECT_EQ(stats.table_hits, 5u);
+  EXPECT_EQ(stats.table_misses, 0u);
 }
 
 TEST(RpbMatchCache, InsertBetweenLookupsInvalidatesTheCache) {
-  dp::Rpb rpb(1, /*ingress=*/true, 64, 64);
-  ASSERT_TRUE(rpb.table().insert(rpb_keys(1), 0,
-                                 dp::RpbAction{dp::AtomicOp::nop(), {}, 1}).ok());
+  OneStageChain bed;
+  ASSERT_TRUE(bed.rpb->table()
+                  .insert(rpb_keys(1), 0, dp::RpbAction{dp::AtomicOp::nop(), {}, 1})
+                  .ok());
   auto phv = claimed_phv(1);
-  rpb.process(phv);  // fill
+  bed.chain.process(phv);  // compile
 
   // A higher-priority entry for the same triple lands between lookups: the
-  // generation bump must force a re-lookup that sees the new winner.
-  ASSERT_TRUE(rpb.table()
+  // version bump must force a recompile that sees the new winner.
+  ASSERT_TRUE(bed.rpb->table()
                   .insert(rpb_keys(1), 10,
                           dp::RpbAction{dp::AtomicOp::loadi(Reg::Har, 42), {}, 1})
                   .ok());
   auto phv2 = claimed_phv(1);
-  rpb.process(phv2);
-  EXPECT_EQ(phv2.reg(Reg::Har), 42u);       // new entry executed
-  EXPECT_EQ(rpb.match_cache_hits(), 0u);    // both lookups went to the table
+  bed.chain.process(phv2);
+  EXPECT_EQ(phv2.reg(Reg::Har), 42u);  // new entry executed
 }
 
 TEST(RpbMatchCache, EraseBetweenLookupsInvalidatesTheCache) {
-  dp::Rpb rpb(1, /*ingress=*/true, 64, 64);
-  auto inserted = rpb.table().insert(
+  OneStageChain bed;
+  auto inserted = bed.rpb->table().insert(
       rpb_keys(1), 0, dp::RpbAction{dp::AtomicOp::loadi(Reg::Har, 7), {}, 1});
   ASSERT_TRUE(inserted.ok());
   auto phv = claimed_phv(1);
-  rpb.process(phv);
+  bed.chain.process(phv);
   EXPECT_EQ(phv.reg(Reg::Har), 7u);
 
-  ASSERT_TRUE(rpb.table().erase(inserted.value()));
-  // A stale cache would replay the erased entry's action from a dangling
-  // pointer; the generation check must turn this into a clean miss instead.
+  ASSERT_TRUE(bed.rpb->table().erase(inserted.value()));
+  // A stale plan would replay the erased entry from a dangling span; the
+  // version check must turn this into a clean miss instead.
   auto phv2 = claimed_phv(1);
-  rpb.process(phv2);
+  bed.chain.process(phv2);
   EXPECT_EQ(phv2.reg(Reg::Har), 0u);
   EXPECT_EQ(phv2.pkt_table_hits, 0u);
   EXPECT_EQ(phv2.pkt_table_misses, 1u);
-  EXPECT_EQ(rpb.match_cache_hits(), 0u);
 }
 
 TEST(RpbMatchCache, RegisterKeyedEntriesDisableTheCache) {
-  dp::Rpb rpb(1, /*ingress=*/true, 64, 64);
   rmt::StageStats stats;
-  rpb.set_stage_stats(&stats);
+  OneStageChain bed(&stats);
   // Branch-style entry keyed on the Sar register (nonzero mask on a
-  // register component): the winner is a function of packet state, so the
-  // (program, branch, recirc) cache must never serve it.
+  // register component): the winner is a function of packet state, so a
+  // reused plan must still match every packet against it.
   auto keys = rpb_keys(1);
   keys[dp::kKeySar] = TernaryKey{1, 0x1u};
-  ASSERT_TRUE(rpb.table()
+  ASSERT_TRUE(bed.rpb->table()
                   .insert(keys, 0,
                           dp::RpbAction{dp::AtomicOp::loadi(Reg::Mar, 9), {}, 1})
                   .ok());
@@ -287,47 +327,47 @@ TEST(RpbMatchCache, RegisterKeyedEntriesDisableTheCache) {
   for (int i = 0; i < 4; ++i) {
     auto phv = claimed_phv(1);
     phv.set_reg(Reg::Sar, static_cast<Word>(i));  // alternates match / miss
-    rpb.process(phv);
+    bed.chain.process(phv);
     const bool should_match = (i & 1) == 1;
     EXPECT_EQ(phv.pkt_table_hits, should_match ? 1u : 0u) << i;
     EXPECT_EQ(phv.reg(Reg::Mar), should_match ? 9u : 0u) << i;
   }
-  // Provably bypassed: every lookup went to the table.
-  EXPECT_EQ(rpb.match_cache_hits(), 0u);
-  EXPECT_EQ(stats.match_cache_hits, 0u);
+  EXPECT_EQ(stats.table_hits, 2u);
+  EXPECT_EQ(stats.table_misses, 2u);
 
-  // And a register-keyed entry for one program must not poison another
-  // program whose entries are cache-eligible.
-  ASSERT_TRUE(rpb.table()
+  // And a register-keyed entry for one program must not disturb another
+  // program's plan.
+  ASSERT_TRUE(bed.rpb->table()
                   .insert(rpb_keys(2), 0,
                           dp::RpbAction{dp::AtomicOp::nop(), {}, 2})
                   .ok());
   for (int i = 0; i < 3; ++i) {
     auto phv = claimed_phv(2);
-    rpb.process(phv);
+    bed.chain.process(phv);
     EXPECT_EQ(phv.pkt_table_hits, 1u);
   }
-  EXPECT_EQ(rpb.match_cache_hits(), 2u);  // program 2 caches fine
 }
 
 TEST(RpbMatchCache, CachedMissIsInvalidatedByLaterInsert) {
-  dp::Rpb rpb(1, /*ingress=*/true, 64, 64);
-  // Table non-empty (so the empty-table fast-out does not trigger) but with
-  // no entry for program 5: the miss gets cached.
-  ASSERT_TRUE(rpb.table().insert(rpb_keys(9), 0,
-                                 dp::RpbAction{dp::AtomicOp::nop(), {}, 9}).ok());
+  OneStageChain bed;
+  // Table non-empty but with no entry for program 5: its plan has no step,
+  // and the stage's miss is counted in bulk.
+  ASSERT_TRUE(bed.rpb->table()
+                  .insert(rpb_keys(9), 0, dp::RpbAction{dp::AtomicOp::nop(), {}, 9})
+                  .ok());
   auto phv = claimed_phv(5);
-  rpb.process(phv);
+  bed.chain.process(phv);
   EXPECT_EQ(phv.pkt_table_misses, 1u);
   auto phv2 = claimed_phv(5);
-  rpb.process(phv2);
-  EXPECT_EQ(rpb.match_cache_hits(), 1u);  // miss served from cache
+  bed.chain.process(phv2);
+  EXPECT_EQ(phv2.pkt_table_misses, 1u);
 
-  // Entry for program 5 arrives: the cached miss must not shadow it.
-  ASSERT_TRUE(rpb.table().insert(rpb_keys(5), 0,
-                                 dp::RpbAction{dp::AtomicOp::nop(), {}, 5}).ok());
+  // Entry for program 5 arrives: the compiled empty plan must not shadow it.
+  ASSERT_TRUE(bed.rpb->table()
+                  .insert(rpb_keys(5), 0, dp::RpbAction{dp::AtomicOp::nop(), {}, 5})
+                  .ok());
   auto phv3 = claimed_phv(5);
-  rpb.process(phv3);
+  bed.chain.process(phv3);
   EXPECT_EQ(phv3.pkt_table_hits, 1u);
 }
 
