@@ -1,10 +1,15 @@
-// Telemetry self-overhead benchmark (BENCH_obs.json): packet rate of the
-// per-packet inject() path with observability OFF (no pipeline observer, no
-// time-series cadence) versus ON in the production configuration (health
-// monitor attached, TimeSeriesStore sampling on a 1-virtual-ms cadence).
-// The ratio off/on is the price of watching — CI gates it (the obs smoke
-// step fails when cache_hit exceeds a generous 1.5x) so telemetry hooks can
-// never silently become the bottleneck of the simulator.
+// Telemetry self-overhead benchmark (BENCH_obs.json): packet rate with
+// observability OFF (no pipeline observer, no time-series cadence) versus ON
+// in the production configuration (health monitor attached, TimeSeriesStore
+// sampling on a 1-virtual-ms cadence), once through per-packet inject()
+// ("shapes") and once through inject_batch() ("batched"), where the monitor
+// takes one per-batch tally instead of a call per packet. The ratio off/on
+// is the price of watching — CI gates it (the obs smoke step fails when the
+// per-packet cache_hit ratio exceeds a generous 1.5x, or the batched one
+// 1.10x) so telemetry hooks can never silently become the bottleneck of the
+// simulator. Off and on phases alternate over several short rounds; the
+// ratio is the median of the per-round ratios, so each off/on pair shares
+// the host's load at that moment and slow drift does not bias it.
 //
 // A separate short phase enables hot-path overhead accounting to measure
 // the monitor's hook cost per packet (obs.self.monitor_hook_ns / calls) and
@@ -13,6 +18,7 @@
 // is exactly why accounting defaults to off (docs/OBSERVABILITY.md).
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -88,17 +94,28 @@ double measure_pps(F&& fn, std::size_t pkts_per_call,
   return static_cast<double>(pkts) / secs;
 }
 
+/// Alternating off/on measurement rounds per shape.
+constexpr int kRounds = 10;
+
+double median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return v[v.size() / 2];
+}
+
 struct OverheadSample {
   std::string name;        ///< program shape, e.g. "cache_hit"
   double off_pps = 0.0;    ///< observer detached, no sampling
-  double on_pps = 0.0;     ///< monitor + overhead accounting + series cadence
-  double ratio = 0.0;      ///< off_pps / on_pps (1.0 = free telemetry)
+  double on_pps = 0.0;     ///< monitor + series cadence
+  double ratio = 0.0;      ///< median per-round off/on (1.0 = free telemetry)
   double hook_ns_per_packet = 0.0;   ///< measured monitor hook cost
   std::uint64_t series_samples = 0;  ///< sampling ticks during the ON phase
   std::uint64_t sample_ns_total = 0; ///< wall ns spent inside sample()
 };
 
-std::vector<OverheadSample> run_overhead_suite(std::chrono::milliseconds budget) {
+/// One sample per shape; `batched` drives inject_batch() instead of
+/// per-packet inject().
+std::vector<OverheadSample> run_overhead_suite(std::chrono::milliseconds budget,
+                                               bool batched) {
   struct Shape {
     const char* name;
     const char* program;  // nullptr = no program linked
@@ -115,8 +132,12 @@ std::vector<OverheadSample> run_overhead_suite(std::chrono::milliseconds budget)
     if (shape.program != nullptr) link_program(bed, shape.program);
     const std::vector<rmt::Packet> pkts(kBatch, shape.pkt);
     const auto inject_all = [&] {
-      for (const auto& p : pkts) {
-        benchmark::DoNotOptimize(bed.dataplane.inject(p));
+      if (batched) {
+        benchmark::DoNotOptimize(bed.dataplane.inject_batch(pkts));
+      } else {
+        for (const auto& p : pkts) {
+          benchmark::DoNotOptimize(bed.dataplane.inject(p));
+        }
       }
       bed.clock.advance_ns(kVirtualNsPerPacket * pkts.size());
     };
@@ -124,21 +145,26 @@ std::vector<OverheadSample> run_overhead_suite(std::chrono::milliseconds budget)
     OverheadSample sample;
     sample.name = shape.name;
 
-    // OFF: no observer, no cadence — the bare simulator packet rate.
-    bed.dataplane.pipeline().set_observer(nullptr);
-    bed.telemetry.series.set_cadence(0);
-    sample.off_pps = measure_pps(inject_all, pkts.size(), budget);
+    std::vector<double> off, on, ratios;
+    for (int round = 0; round < kRounds; ++round) {
+      // OFF: no observer, no cadence — the bare simulator packet rate.
+      bed.dataplane.pipeline().set_observer(nullptr);
+      bed.telemetry.series.set_cadence(0);
+      off.push_back(measure_pps(inject_all, pkts.size(), budget / kRounds));
 
-    // ON: the production telemetry config — monitor observing every packet
-    // and the time-series store sampling the registry every virtual
-    // millisecond. Hot-path overhead accounting stays OFF here, as in
-    // production (its two clock reads per packet are themselves overhead
-    // and would dominate the ratio for cheap packets).
-    bed.dataplane.pipeline().set_observer(&bed.telemetry.monitor);
-    bed.telemetry.series.set_cadence(1'000'000);
-    sample.on_pps = measure_pps(inject_all, pkts.size(), budget);
-
-    sample.ratio = sample.on_pps > 0.0 ? sample.off_pps / sample.on_pps : 0.0;
+      // ON: the production telemetry config — monitor observing every
+      // packet and the time-series store sampling the registry every
+      // virtual millisecond. Hot-path overhead accounting stays OFF here,
+      // as in production (its clock reads are themselves overhead and
+      // would dominate the ratio for cheap packets).
+      bed.dataplane.pipeline().set_observer(&bed.telemetry.monitor);
+      bed.telemetry.series.set_cadence(1'000'000);
+      on.push_back(measure_pps(inject_all, pkts.size(), budget / kRounds));
+      ratios.push_back(off.back() / on.back());
+    }
+    sample.off_pps = median(off);
+    sample.on_pps = median(on);
+    sample.ratio = median(ratios);
 
     // Separate short accounting phase: measure the monitor hook's own cost
     // (obs.self.monitor_hook_ns / calls) without letting the measurement
@@ -158,8 +184,9 @@ std::vector<OverheadSample> run_overhead_suite(std::chrono::milliseconds budget)
   return samples;
 }
 
-void print_overhead_suite(const std::vector<OverheadSample>& samples) {
-  bench::heading("Telemetry overhead (per-packet inject, pkts/sec)");
+void print_overhead_suite(const std::vector<OverheadSample>& samples,
+                          const char* title) {
+  bench::heading(title);
   std::printf("%-14s | %12s | %12s | %6s | %10s | %8s\n", "shape", "telemetry off",
               "telemetry on", "ratio", "hook ns/pkt", "samples");
   bench::rule(78);
@@ -171,15 +198,7 @@ void print_overhead_suite(const std::vector<OverheadSample>& samples) {
   }
 }
 
-void write_overhead_json(const std::vector<OverheadSample>& samples,
-                         const std::string& path) {
-  std::ofstream out(path);
-  if (!out) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return;
-  }
-  out << "{\n  \"bench\": \"obs_overhead\",\n"
-      << "  \"unit\": \"packets_per_second\",\n  \"shapes\": [\n";
+void write_rows(std::ostream& out, const std::vector<OverheadSample>& samples) {
   for (std::size_t i = 0; i < samples.size(); ++i) {
     const auto& s = samples[i];
     char buf[384];
@@ -194,6 +213,21 @@ void write_overhead_json(const std::vector<OverheadSample>& samples,
                   i + 1 < samples.size() ? "," : "");
     out << buf;
   }
+}
+
+void write_overhead_json(const std::vector<OverheadSample>& per_packet,
+                         const std::vector<OverheadSample>& batched,
+                         const std::string& path) {
+  std::ofstream out(path);
+  if (!out) {
+    std::fprintf(stderr, "cannot write %s\n", path.c_str());
+    return;
+  }
+  out << "{\n  \"bench\": \"obs_overhead\",\n"
+      << "  \"unit\": \"packets_per_second\",\n  \"shapes\": [\n";
+  write_rows(out, per_packet);
+  out << "  ],\n  \"batched\": [\n";
+  write_rows(out, batched);
   out << "  ]\n}\n";
 }
 
@@ -215,10 +249,12 @@ int main(int argc, char** argv) {
   p4runpro::bench::TelemetryScope telemetry_scope(filtered_argc, args.data());
 
   const auto budget = std::chrono::milliseconds(quick ? 50 : 400);
-  const auto samples = run_overhead_suite(budget);
-  print_overhead_suite(samples);
+  const auto per_packet = run_overhead_suite(budget, false);
+  const auto batched = run_overhead_suite(budget, true);
+  print_overhead_suite(per_packet, "Telemetry overhead (per-packet inject, pkts/sec)");
+  print_overhead_suite(batched, "Telemetry overhead (inject_batch, pkts/sec)");
   if (!telemetry_scope.flags().bench_json_path.empty()) {
-    write_overhead_json(samples, telemetry_scope.flags().bench_json_path);
+    write_overhead_json(per_packet, batched, telemetry_scope.flags().bench_json_path);
   }
   return 0;
 }

@@ -1,6 +1,7 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 
 #include "obs/json.h"
@@ -65,15 +66,24 @@ std::vector<double> Histogram::count_bounds() {
   return bounds;
 }
 
+void MetricsRegistry::bump_layout() noexcept {
+  // One process-wide sequence: a registry rebuilt at the same address can
+  // never present a version a reader cached for its predecessor.
+  static std::atomic<std::uint64_t> next{0};
+  layout_version_ = next.fetch_add(1, std::memory_order_relaxed) + 1;
+}
+
 Counter& MetricsRegistry::counter(std::string_view name) {
   const auto it = counters_.find(name);
   if (it != counters_.end()) return it->second;
+  bump_layout();
   return counters_.emplace(std::string(name), Counter{}).first->second;
 }
 
 Gauge& MetricsRegistry::gauge(std::string_view name) {
   const auto it = gauges_.find(name);
   if (it != gauges_.end()) return it->second;
+  bump_layout();
   return gauges_.emplace(std::string(name), Gauge{}).first->second;
 }
 
@@ -81,6 +91,7 @@ Histogram& MetricsRegistry::histogram(std::string_view name,
                                       std::span<const double> bounds) {
   const auto it = histograms_.find(name);
   if (it != histograms_.end()) return it->second;
+  bump_layout();
   std::vector<double> b = bounds.empty()
                               ? Histogram::time_ms_bounds()
                               : std::vector<double>(bounds.begin(), bounds.end());
@@ -89,6 +100,7 @@ Histogram& MetricsRegistry::histogram(std::string_view name,
 
 void MetricsRegistry::register_probe(std::string_view name, const void* owner,
                                      std::function<double()> fn) {
+  bump_layout();
   probes_.insert_or_assign(std::string(name), Probe{owner, std::move(fn)});
 }
 
@@ -99,6 +111,7 @@ void MetricsRegistry::unregister_probes(const void* owner) {
       // the owner's death still carry the last observed value.
       gauge(it->first).set(it->second.fn());
       it = probes_.erase(it);
+      bump_layout();
     } else {
       ++it;
     }
@@ -124,19 +137,9 @@ const Histogram* MetricsRegistry::find_histogram(std::string_view name) const {
 std::vector<std::pair<std::string, double>> MetricsRegistry::sampled_gauges() const {
   std::vector<std::pair<std::string, double>> out;
   out.reserve(gauges_.size() + probes_.size());
-  auto g = gauges_.begin();
-  auto p = probes_.begin();
-  // Merge the two sorted maps; a probe shadows an owned gauge of the same name.
-  while (g != gauges_.end() || p != probes_.end()) {
-    if (p == probes_.end() || (g != gauges_.end() && g->first < p->first)) {
-      out.emplace_back(g->first, g->second.value());
-      ++g;
-    } else {
-      if (g != gauges_.end() && g->first == p->first) ++g;
-      out.emplace_back(p->first, p->second.fn());
-      ++p;
-    }
-  }
+  for_each_sampled_gauge([&out](std::string_view name, double value) {
+    out.emplace_back(std::string(name), value);
+  });
   return out;
 }
 
@@ -145,6 +148,7 @@ void MetricsRegistry::clear() {
   gauges_.clear();
   histograms_.clear();
   probes_.clear();
+  bump_layout();
 }
 
 void export_metrics_jsonl(const MetricsRegistry& registry, std::ostream& out) {

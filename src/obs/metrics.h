@@ -125,6 +125,27 @@ class MetricsRegistry {
   }
   /// Gauge view merging owned gauges and sampled probes, sorted by name.
   [[nodiscard]] std::vector<std::pair<std::string, double>> sampled_gauges() const;
+  /// The same view without copying names: calls fn(name, value) per entry.
+  template <typename F>
+  void for_each_sampled_gauge(F&& fn) const {
+    auto g = gauges_.begin();
+    auto p = probes_.begin();
+    // Merge the two sorted maps; a probe shadows an owned gauge of the same name.
+    while (g != gauges_.end() || p != probes_.end()) {
+      if (p == probes_.end() || (g != gauges_.end() && g->first < p->first)) {
+        fn(std::string_view(g->first), g->second.value());
+        ++g;
+      } else {
+        if (g != gauges_.end() && g->first == p->first) ++g;
+        fn(std::string_view(p->first), p->second.fn());
+        ++p;
+      }
+    }
+  }
+
+  /// Changes whenever a metric or probe name is added or removed (never
+  /// repeats across registries), so a reader can cache per-name state.
+  [[nodiscard]] std::uint64_t layout_version() const noexcept { return layout_version_; }
 
   void clear();
 
@@ -134,10 +155,13 @@ class MetricsRegistry {
     std::function<double()> fn;
   };
 
+  void bump_layout() noexcept;
+
   std::map<std::string, Counter, std::less<>> counters_;
   std::map<std::string, Gauge, std::less<>> gauges_;
   std::map<std::string, Histogram, std::less<>> histograms_;
   std::map<std::string, Probe, std::less<>> probes_;
+  std::uint64_t layout_version_ = 0;
 };
 
 /// JSON-lines export: one object per metric, sorted by name within each

@@ -80,9 +80,10 @@ const ProgramHealthMonitor::Slot* ProgramHealthMonitor::find_slot(ProgramId id) 
 void ProgramHealthMonitor::program_deployed(ProgramId id, std::string_view name,
                                             std::uint64_t entries) {
   Slot& s = slot(id);
-  // Program ids are recycled: a redeploy under a reused id starts fresh
-  // (the event stream keeps the previous occupant's history).
-  s.health = ProgramHealth{};
+  // Program ids are recycled: a redeploy under a reused id starts fresh,
+  // rate windows included (the event stream keeps the previous occupant's
+  // history).
+  s = Slot(config_);
   s.health.known = true;
   s.health.active = true;
   s.health.name = std::string(name);
@@ -215,6 +216,36 @@ void ProgramHealthMonitor::clear_rules() {
   for (StageState& stage : stages_) stage.fired.clear();
 }
 
+void ProgramHealthMonitor::attribute(Slot& s, const rmt::ProgramTally& t,
+                                     SimClock::Nanos now) {
+  ProgramHealth& h = s.health;
+  h.packets += t.packets;
+  h.table_hits += t.table_hits;
+  h.table_misses += t.table_misses;
+  h.salu_updates += t.salu_execs;
+  h.recirc_passes += t.recirc_passes;
+  h.drops += t.drops;
+  s.packets_w.add(now, t.packets);
+  if (t.recirc_passes > 0) s.recirc_w.add(now, t.recirc_passes);
+  if (t.drops > 0) s.drops_w.add(now, t.drops);
+}
+
+void ProgramHealthMonitor::finish_hook(SimClock::Nanos now,
+                                       std::chrono::steady_clock::time_point start,
+                                       std::uint64_t packets) {
+  // Cadence-gated time-series tick: a single compare when not due.
+  if (series_ != nullptr && registry_ != nullptr) {
+    series_->maybe_sample(*registry_, now);
+  }
+  if (account_overhead_) {
+    hook_calls_ += packets;
+    hook_ns_ += static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - start)
+            .count());
+  }
+}
+
 void ProgramHealthMonitor::on_packet(const rmt::PacketObservation& obs) {
   // Optional self-overhead accounting: two steady_clock reads bracketing
   // the hook. Off by default — the reads are themselves overhead.
@@ -225,23 +256,18 @@ void ProgramHealthMonitor::on_packet(const rmt::PacketObservation& obs) {
   if (packets_counter_ != nullptr) packets_counter_->inc();
   last_table_trace_ = obs.table_trace;
 
-  Slot& s = slot(obs.program);
-  ProgramHealth& h = s.health;
-  ++h.packets;
-  h.table_hits += obs.table_hits;
-  h.table_misses += obs.table_misses;
-  h.salu_updates += obs.salu_execs;
-  h.recirc_passes += static_cast<std::uint64_t>(obs.recirc_passes);
   const bool dropped = obs.fate == rmt::PacketFate::Dropped ||
                        obs.fate == rmt::PacketFate::RecircLimit;
-  if (dropped) ++h.drops;
-
   const SimClock::Nanos now = now_ns();
-  s.packets_w.add(now);
-  if (obs.recirc_passes > 0) {
-    s.recirc_w.add(now, static_cast<std::uint64_t>(obs.recirc_passes));
-  }
-  if (dropped) s.drops_w.add(now);
+  Slot& s = slot(obs.program);
+  attribute(s,
+            {.packets = 1,
+             .table_hits = obs.table_hits,
+             .table_misses = obs.table_misses,
+             .salu_execs = obs.salu_execs,
+             .recirc_passes = static_cast<std::uint64_t>(obs.recirc_passes),
+             .drops = dropped ? 1u : 0u},
+            now);
 
   // Journey capture first, rule evaluation second: when this packet trips
   // an alert, its own journey is the newest entry of the frozen ring.
@@ -250,7 +276,7 @@ void ProgramHealthMonitor::on_packet(const rmt::PacketObservation& obs) {
     journey.seq = obs.seq;
     journey.t_ms = now_ms();
     journey.program = obs.program;
-    journey.program_name = h.name;
+    journey.program_name = s.health.name;
     journey.fate = obs.fate;
     journey.ingress_port = obs.ingress_port;
     journey.egress_port = obs.egress_port;
@@ -264,19 +290,29 @@ void ProgramHealthMonitor::on_packet(const rmt::PacketObservation& obs) {
   }
 
   if (!rules_.empty()) evaluate_rules(obs.program, s);
+  finish_hook(now, hook_start, 1);
+}
 
-  // Cadence-gated time-series tick: a single compare when not due.
-  if (series_ != nullptr && registry_ != nullptr) {
-    series_->maybe_sample(*registry_, now);
+void ProgramHealthMonitor::on_batch(const rmt::BatchTally& tally) {
+  const auto hook_start = account_overhead_
+                              ? std::chrono::steady_clock::now()
+                              : std::chrono::steady_clock::time_point{};
+  last_table_trace_ = tally.table_trace;
+  const SimClock::Nanos now = now_ns();
+  std::uint64_t folded = 0;
+  for (const ProgramId id : tally.touched) {
+    const rmt::ProgramTally& t = tally.by_program[id];
+    Slot& s = slot(id);
+    attribute(s, t, now);
+    folded += t.packets;
+    // The clock has not moved since the batch began, so these windows hold
+    // what per-packet reporting would have left; a rule crossed anywhere in
+    // the batch fires here, at batch end.
+    if (!rules_.empty()) evaluate_rules(id, s);
   }
-
-  if (account_overhead_) {
-    ++hook_calls_;
-    hook_ns_ += static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - hook_start)
-            .count());
-  }
+  packets_observed_ += folded;
+  if (packets_counter_ != nullptr) packets_counter_->inc(folded);
+  finish_hook(now, hook_start, folded);
 }
 
 double ProgramHealthMonitor::rule_value(const AlertRule& rule, const Slot& s,

@@ -1,5 +1,5 @@
 // Per-program data-plane health monitor. Implements rmt::PacketObserver:
-// the pipeline reports every completed packet once, and the monitor
+// the pipeline reports every completed packet exactly once, and the monitor
 // attributes it — packets, table hits/misses, SALU updates, recirculation
 // passes, drops — to the deployed program that claimed it (slot 0 collects
 // unclaimed traffic). On top of the lifetime counters sit rolling-window
@@ -7,12 +7,21 @@
 // threshold alert rules; a tripped alert freezes the attached
 // FlightRecorder so the packet journeys leading up to the anomaly survive.
 //
+// Two feeds carry the packets. Per-packet inject() and journey-sampled
+// packets arrive through on_packet(). inject_batch() hands its other
+// packets over once per batch as a per-program tally (on_batch()): the
+// monitor folds it into the counters and windows in one pass, then
+// evaluates the rules of each touched program and ticks the time series
+// once. The virtual clock does not move inside a batch, so the windows end
+// up exactly as if each packet had been reported on its own.
+//
 // Hot-path discipline: attribution is a direct vector index by program id,
-// rule evaluation touches only the claiming program's windows, and every
+// rule evaluation touches only the reported programs' windows, and every
 // metrics-registry handle is resolved once at attach time — no name lookup
 // ever happens per packet.
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 #include <deque>
 #include <ostream>
@@ -188,9 +197,10 @@ class ProgramHealthMonitor final : public rmt::PacketObserver {
   /// Time-series store to tick from the packet hot path (cadence-gated;
   /// needs attach_metrics for the registry to sample). Null disables.
   void set_series_store(TimeSeriesStore* store) noexcept { series_ = store; }
-  /// Account wall nanoseconds spent inside on_packet (the telemetry
-  /// self-overhead the obs_overhead bench measures). Off by default — the
-  /// two clock reads per packet are themselves overhead.
+  /// Account wall nanoseconds spent inside on_packet and on_batch (the
+  /// telemetry self-overhead the obs_overhead bench measures); hook_calls
+  /// counts the packets those calls reported. Off by default — the two
+  /// clock reads per call are themselves overhead.
   void set_overhead_accounting(bool enabled) noexcept { account_overhead_ = enabled; }
   [[nodiscard]] std::uint64_t hook_ns() const noexcept { return hook_ns_; }
   [[nodiscard]] std::uint64_t hook_calls() const noexcept { return hook_calls_; }
@@ -248,6 +258,7 @@ class ProgramHealthMonitor final : public rmt::PacketObserver {
     return flight_ != nullptr && flight_->want_sample();
   }
   void on_packet(const rmt::PacketObservation& obs) override;
+  void on_batch(const rmt::BatchTally& tally) override;
 
   // --- queries ------------------------------------------------------------
   /// Health of one program; null when the id was never seen. Slot 0 is the
@@ -295,6 +306,13 @@ class ProgramHealthMonitor final : public rmt::PacketObserver {
   [[nodiscard]] SimClock::Nanos now_ns() const noexcept {
     return clock_ != nullptr ? clock_->now_ns() : 0;
   }
+  /// Add `t` to the slot's lifetime counters and to its rolling windows at
+  /// virtual time `now` (one window add per counter, not per packet).
+  static void attribute(Slot& s, const rmt::ProgramTally& t, SimClock::Nanos now);
+  /// Packet-hook epilogue: tick the time series, then charge the hook's wall
+  /// time since `start` to `packets` calls when overhead accounting is on.
+  void finish_hook(SimClock::Nanos now, std::chrono::steady_clock::time_point start,
+                   std::uint64_t packets);
   [[nodiscard]] double rule_value(const AlertRule& rule, const Slot& s,
                                   SimClock::Nanos now) const;
   void evaluate_rules(ProgramId id, Slot& s);

@@ -110,18 +110,36 @@ void TimeSeriesStore::sample(const MetricsRegistry& registry, SimClock::Nanos no
   const auto wall_start = std::chrono::steady_clock::now();
   ++samples_taken_;
 
+  // Name -> series lookups are resolved once per registry layout: the
+  // registry is walked in the same order every tick, so slot k of bound_
+  // is the series of the k-th value visited.
+  const bool rebind = bound_registry_ != &registry ||
+                      bound_layout_ != registry.layout_version();
+  if (rebind) {
+    bound_.clear();
+    bound_registry_ = &registry;
+    bound_layout_ = registry.layout_version();
+  }
+  std::size_t slot = 0;
+  const auto push = [&](std::string_view name, double value) {
+    if (rebind) bound_.push_back(&series_ref(name));
+    bound_[slot++]->push(now, value);
+  };
   for (const auto& [name, counter] : registry.counters()) {
-    series_ref(name).push(now, static_cast<double>(counter.value()));
+    push(name, static_cast<double>(counter.value()));
   }
-  for (const auto& [name, value] : registry.sampled_gauges()) {
-    series_ref(name).push(now, value);
-  }
+  registry.for_each_sampled_gauge(push);
   if (config_.histogram_quantiles) {
+    static constexpr std::pair<double, std::string_view> kRollups[] = {
+        {0.5, ".p50"}, {0.9, ".p90"}, {0.99, ".p99"}};
     for (const auto& [name, h] : registry.histograms()) {
-      if (h.count() == 0) continue;  // empty histogram: no quantiles to roll up
-      series_ref(name + ".p50").push(now, h.quantile(0.5));
-      series_ref(name + ".p90").push(now, h.quantile(0.9));
-      series_ref(name + ".p99").push(now, h.quantile(0.99));
+      for (const auto& [q, suffix] : kRollups) {
+        if (rebind) bound_.push_back(nullptr);
+        TimeSeries*& series = bound_[slot++];
+        if (h.count() == 0) continue;  // empty histogram: no quantiles to roll up
+        if (series == nullptr) series = &series_ref(name + std::string(suffix));
+        series->push(now, h.quantile(q));
+      }
     }
   }
 
@@ -203,6 +221,8 @@ void TimeSeriesStore::attach_self_probes(MetricsRegistry& registry) {
 
 void TimeSeriesStore::clear() {
   series_.clear();
+  bound_.clear();
+  bound_registry_ = nullptr;
   next_due_ns_ = 0;
   samples_taken_ = 0;
   anomalies_fired_ = 0;

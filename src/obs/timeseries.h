@@ -164,6 +164,11 @@ class TimeSeriesStore {
   SimClock::Nanos cadence_ns_ = 0;
   SimClock::Nanos next_due_ns_ = 0;
   std::map<std::string, TimeSeries, std::less<>> series_;
+  /// sample()'s resolved series, in registry visit order, valid while the
+  /// registry's layout_version() stays `bound_layout_`.
+  std::vector<TimeSeries*> bound_;
+  const MetricsRegistry* bound_registry_ = nullptr;
+  std::uint64_t bound_layout_ = 0;
   std::vector<Watch> watches_;
   ProgramHealthMonitor* monitor_ = nullptr;
   MetricsRegistry* probe_registry_ = nullptr;  ///< registry holding our probes

@@ -142,7 +142,10 @@ Pipeline::PassResult Pipeline::process_pass(Phv& phv) {
 PipelineResult Pipeline::inject(const Packet& pkt) {
   // Sampling decision before parsing: a sampled packet gets per-packet
   // tracing for exactly this injection so its journey can be recorded.
-  const bool sampled = observer_ != nullptr && observer_->sample_packet();
+  return inject_one(pkt, observer_ != nullptr && observer_->sample_packet());
+}
+
+PipelineResult Pipeline::inject_one(const Packet& pkt, bool sampled) {
   const bool saved_tracing = tracing_;
   if (sampled) tracing_ = true;
   const std::uint64_t seq = packets_in_;
@@ -205,40 +208,61 @@ Pipeline::BatchResult Pipeline::inject_batch(std::span<const Packet> pkts) {
     }
   };
 
-  // Observer attached or tracing on: per-packet semantics (sampling
-  // decisions, journey capture, observation callbacks) must be preserved —
-  // delegate to inject() and only aggregate.
-  if (observer_ != nullptr || tracing_) {
-    for (const Packet& pkt : pkts) {
-      const PipelineResult result = inject(pkt);
+  PacketObserver* const observer = observer_;
+  for (const Packet& pkt : pkts) {
+    // Journey-sampled packets and packets run under global tracing keep
+    // inject()'s traced route, on_packet() included.
+    const bool sampled = observer != nullptr && observer->sample_packet();
+    if (sampled || tracing_) {
+      const PipelineResult result = inject_one(pkt, sampled);
       fold(result.fate);
       out.recirc_passes += static_cast<std::uint64_t>(result.recirc_passes);
+      continue;
     }
-    return out;
-  }
 
-  // Lean path: no sampling query, no trace bookkeeping, no per-packet
-  // PipelineResult (and its Packet copy).
-  for (const Packet& pkt : pkts) {
+    // Lean path: no trace bookkeeping, no per-packet PipelineResult (and
+    // its Packet copy), no on_packet(); the observer gets the tally instead.
     ++packets_in_;
     Phv phv = parser_.parse(pkt);
     phv.qdepth = qdepth_;
-    for (int pass = 0;; ++pass) {
+    int recircs = 0;
+    PacketFate fate = PacketFate::RecircLimit;
+    for (;;) {
       const PassResult step = process_pass(phv);
-      if (step.outcome == PassOutcome::Recirculate) {
-        ++out.recirc_passes;
-        if (pass >= max_recirculations_) {
-          ++packets_dropped_;
-          ++out.recirc_limited;
-          break;
-        }
-        continue;
+      if (step.outcome == PassOutcome::Exit) {
+        fate = step.fate;
+        break;
       }
-      fold(step.fate);
-      break;
+      if (recircs++ >= max_recirculations_) {
+        ++packets_dropped_;
+        break;
+      }
     }
+    fold(fate);
+    out.recirc_passes += static_cast<std::uint64_t>(recircs);
+    if (observer != nullptr) tally_packet(phv, fate, recircs);
+  }
+
+  if (observer != nullptr && !tally_.touched.empty()) {
+    tally_.table_trace = table_trace_;
+    observer->on_batch(tally_);
+    for (const ProgramId id : tally_.touched) tally_.by_program[id] = ProgramTally{};
+    tally_.touched.clear();
   }
   return out;
+}
+
+void Pipeline::tally_packet(const Phv& phv, PacketFate fate, int recirc_passes) {
+  if (tally_.by_program.size() <= phv.program_id) {
+    tally_.by_program.resize(phv.program_id + 1u);
+  }
+  ProgramTally& t = tally_.by_program[phv.program_id];
+  if (t.packets++ == 0) tally_.touched.push_back(phv.program_id);
+  t.table_hits += phv.pkt_table_hits;
+  t.table_misses += phv.pkt_table_misses;
+  t.salu_execs += phv.pkt_salu_execs;
+  t.recirc_passes += static_cast<std::uint64_t>(recirc_passes);
+  if (fate == PacketFate::Dropped || fate == PacketFate::RecircLimit) ++t.drops;
 }
 
 std::vector<Packet> Pipeline::drain_cpu_queue() {

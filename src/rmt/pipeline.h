@@ -90,11 +90,36 @@ struct PacketObservation {
   std::uint64_t table_generation = 0;
 };
 
-/// Per-packet attribution hook (implemented by obs::ProgramHealthMonitor).
-/// sample_packet() is consulted before parsing so the pipeline can enable
-/// tracing for exactly the packets whose journey the observer wants; both
-/// calls sit on the hot path and implementations must not do name lookups
-/// or allocation on the common path.
+/// One program's share of the packets an inject_batch() ran on its lean
+/// loop (see BatchTally).
+struct ProgramTally {
+  std::uint64_t packets = 0;
+  std::uint64_t table_hits = 0;
+  std::uint64_t table_misses = 0;
+  std::uint64_t salu_execs = 0;
+  std::uint64_t recirc_passes = 0;
+  std::uint64_t drops = 0;  ///< Dropped or RecircLimit
+};
+
+/// Per-program counts of one inject_batch()'s lean packets, handed to the
+/// observer once at batch end. Owned by the pipeline and reset after the
+/// callback; only the `touched` entries of `by_program` are non-zero.
+struct BatchTally {
+  std::vector<ProgramTally> by_program;  ///< indexed by ProgramId
+  std::vector<ProgramId> touched;        ///< ids with packets, first-touch order
+  /// Trace id of the table state the batch matched against (see
+  /// Pipeline::note_table_update).
+  std::uint64_t table_trace = 0;
+};
+
+/// Attribution hook (implemented by obs::ProgramHealthMonitor).
+/// sample_packet() is consulted once per packet before parsing, so the
+/// pipeline can enable tracing for exactly the packets whose journey the
+/// observer wants. Per-packet inject() reports each packet through
+/// on_packet(); inject_batch() reports only its sampled or traced packets
+/// that way and folds the rest into one on_batch() call at batch end.
+/// sample_packet() sits on the hot path: implementations must not do name
+/// lookups or allocation there.
 class PacketObserver {
  public:
   virtual ~PacketObserver() = default;
@@ -102,6 +127,8 @@ class PacketObserver {
   /// packet about to be injected.
   [[nodiscard]] virtual bool sample_packet() = 0;
   virtual void on_packet(const PacketObservation& obs) = 0;
+  /// Counts of the batch packets that did not go through on_packet().
+  virtual void on_batch(const BatchTally& tally) = 0;
 };
 
 class Pipeline {
@@ -141,11 +168,13 @@ class Pipeline {
   };
 
   /// Run a batch of packets to completion and return aggregate results.
-  /// The observer/tracing/sampling checks are hoisted out of the per-packet
-  /// loop: with no observer and tracing off, packets take a lean path that
-  /// skips the per-packet sampling query, trace bookkeeping, and the
-  /// PipelineResult packet copy. All pipeline counters (ports, stage stats,
-  /// CPU queue) advance exactly as with per-packet inject().
+  /// Packets the observer samples for a journey, and every packet while
+  /// tracing is on, take inject()'s traced route (trace events, on_packet).
+  /// The rest take a lean loop without trace bookkeeping or the
+  /// PipelineResult packet copy; with an observer attached their counts
+  /// go to a per-program tally the observer receives once, through
+  /// on_batch(), at batch end. Pipeline counters (ports, stage stats, CPU
+  /// queue) advance exactly as with per-packet inject().
   BatchResult inject_batch(std::span<const Packet> pkts);
 
   /// Outcome of a single pipeline pass (ingress + traffic manager +
@@ -232,8 +261,9 @@ class Pipeline {
   [[nodiscard]] StageStats& stage_stats() noexcept { return stage_stats_; }
   [[nodiscard]] const StageStats& stage_stats() const noexcept { return stage_stats_; }
 
-  /// Per-packet attribution hook, invoked once per inject() with the
-  /// packet's claiming program and execution counters. Null disables (the
+  /// Attribution hook: on_packet() once per inject() with the packet's
+  /// claiming program and execution counters, on_batch() once per
+  /// inject_batch() for the packets it ran lean. Null disables (the
   /// default). Packets driven through process_pass() directly (switch
   /// chains) bypass the observer.
   void set_observer(PacketObserver* observer) noexcept { observer_ = observer; }
@@ -274,6 +304,10 @@ class Pipeline {
   Pipeline& operator=(const Pipeline&) = delete;
 
  private:
+  /// inject() with the sampling decision already taken.
+  PipelineResult inject_one(const Packet& pkt, bool sampled);
+  void tally_packet(const Phv& phv, PacketFate fate, int recirc_passes);
+
   Parser parser_;
   int max_recirculations_;
   std::vector<std::shared_ptr<PipelineStage>> ingress_;
@@ -297,6 +331,7 @@ class Pipeline {
   std::uint64_t table_generation_ = 0;  ///< bumped per control write batch
   obs::Telemetry* telemetry_ = nullptr;
   PacketObserver* observer_ = nullptr;
+  BatchTally tally_;  ///< inject_batch's lean packets, drained per batch
 };
 
 }  // namespace p4runpro::rmt

@@ -120,6 +120,7 @@ TEST(Monitor, LifecycleEventsAndCounterReset) {
 
   monitor.program_deployed(1, "alpha", 12);
   monitor.on_packet(observation(1, rmt::PacketFate::Forwarded));
+  monitor.on_packet(observation(1, rmt::PacketFate::Dropped, 2));
   clock.advance_ms(5);
   monitor.program_revoked(1);
 
@@ -127,14 +128,20 @@ TEST(Monitor, LifecycleEventsAndCounterReset) {
   ASSERT_NE(h, nullptr);
   EXPECT_EQ(h->name, "alpha");
   EXPECT_FALSE(h->active);
-  EXPECT_EQ(h->packets, 1u);
+  EXPECT_EQ(h->packets, 2u);
   EXPECT_DOUBLE_EQ(h->revoked_at_ms, 5.0);
+  EXPECT_GT(monitor.packet_rate(1), 0.0);
 
-  // Ids are recycled: a redeploy under the same id starts fresh.
+  // Ids are recycled: a redeploy under the same id starts fresh, and so do
+  // its rolling windows (the old occupant's drops are not beta's).
   monitor.program_deployed(1, "beta", 7);
   EXPECT_EQ(monitor.health(1)->packets, 0u);
   EXPECT_EQ(monitor.health(1)->name, "beta");
   EXPECT_TRUE(monitor.health(1)->active);
+  EXPECT_EQ(monitor.packet_rate(1), 0.0);
+  EXPECT_EQ(monitor.recirc_rate(1), 0.0);
+  EXPECT_EQ(monitor.drop_rate(1), 0.0);
+  EXPECT_EQ(monitor.drop_fraction(1), 0.0);
 
   ASSERT_EQ(monitor.events().size(), 3u);
   EXPECT_EQ(monitor.events()[0].kind, obs::MonitorEvent::Kind::Deploy);
@@ -513,6 +520,251 @@ TEST(MonitorScenario, RevokeShowsUpInStreamAndHealth) {
   (void)dataplane.inject(cache_packet());
   EXPECT_EQ(h->packets, 1u);
   EXPECT_EQ(telemetry.monitor.health(0)->packets, 1u);
+}
+
+// ------------------------------------ batch fold vs per-packet reporting
+
+rmt::Packet drop_packet() {
+  rmt::Packet pkt;
+  // src inside 13.0/16: claimed by the dropper program below.
+  pkt.ipv4 = rmt::Ipv4Header{.src = 0x0d000001, .dst = 0x0b000002, .proto = 17};
+  pkt.udp = rmt::UdpHeader{7, 8};
+  pkt.ingress_port = 3;
+  return pkt;
+}
+
+/// One switch with hh (recirculates), cache (returns), a dropper and room
+/// for unclaimed frames, wired to a private telemetry bundle.
+struct BatchBed {
+  obs::Telemetry telemetry;
+  SimClock clock;
+  dp::RunproDataplane dataplane{dp::DataplaneSpec{}, rmt::ParserConfig{{7777}}};
+  ctrl::Controller controller{dataplane, clock, {}, {}, &telemetry};
+  ProgramId cache_id = 0;
+  ProgramId hh_id = 0;
+  ProgramId drop_id = 0;
+
+  BatchBed() {
+    controller.set_fixed_alloc_charge_ms(1.0);
+    cache_id = link(apps::make_program_source("cache", named("cache")));
+    hh_id = link(apps::make_program_source("hh", named("hh")));
+    drop_id = link("program dropper(<hdr.ipv4.src, 0x0d000000, 0xffff0000>) { DROP; }");
+  }
+
+  static apps::ProgramConfig named(const char* name) {
+    apps::ProgramConfig config;
+    config.instance_name = name;
+    return config;
+  }
+  ProgramId link(const std::string& source) {
+    auto linked = controller.link_single(source);
+    EXPECT_TRUE(linked.ok()) << linked.error().message;
+    return linked.ok() ? linked.value().id : 0;
+  }
+};
+
+/// Mixed trace over all four kinds of traffic (hh flows vary so the sketch
+/// rows differ per packet).
+std::vector<rmt::Packet> mixed_trace(std::size_t n) {
+  std::vector<rmt::Packet> pkts;
+  std::uint32_t x = 12345;
+  for (std::size_t i = 0; i < n; ++i) {
+    x = x * 1103515245u + 12345u;
+    switch ((x >> 16) % 4) {
+      case 0: pkts.push_back(cache_packet()); break;
+      case 1: {
+        rmt::Packet pkt = hh_packet();
+        pkt.udp->src_port = static_cast<std::uint16_t>(5000 + (x >> 24) % 8);
+        pkts.push_back(pkt);
+        break;
+      }
+      case 2: pkts.push_back(drop_packet()); break;
+      default: pkts.push_back(unclaimed_packet()); break;
+    }
+  }
+  return pkts;
+}
+
+/// Replays `pkts` in batches of `batch` packets: `batched` through
+/// inject_batch, `single` through per-packet inject(); both clocks then
+/// advance by `step_ms`. `after_batch` runs after every batch.
+template <typename F>
+void replay_both(BatchBed& batched, BatchBed& single,
+                 const std::vector<rmt::Packet>& pkts, std::size_t batch,
+                 double step_ms, F&& after_batch) {
+  for (std::size_t at = 0; at < pkts.size(); at += batch) {
+    const std::size_t n = std::min(batch, pkts.size() - at);
+    const auto result = batched.dataplane.inject_batch(
+        std::span<const rmt::Packet>(pkts.data() + at, n));
+    EXPECT_EQ(result.packets, n);
+    for (std::size_t i = at; i < at + n; ++i) (void)single.dataplane.inject(pkts[i]);
+    batched.clock.advance_ms(step_ms);
+    single.clock.advance_ms(step_ms);
+    after_batch();
+  }
+}
+
+void expect_same_health(BatchBed& a, BatchBed& b) {
+  const obs::ProgramHealthMonitor& ma = a.telemetry.monitor;
+  const obs::ProgramHealthMonitor& mb = b.telemetry.monitor;
+  ASSERT_EQ(ma.known_programs(), mb.known_programs());
+  for (const ProgramId id : ma.known_programs()) {
+    SCOPED_TRACE(testing::Message() << "program " << id);
+    const obs::ProgramHealth& ha = *ma.health(id);
+    const obs::ProgramHealth& hb = *mb.health(id);
+    EXPECT_EQ(ha.name, hb.name);
+    EXPECT_EQ(ha.active, hb.active);
+    EXPECT_EQ(ha.entries, hb.entries);
+    EXPECT_EQ(ha.packets, hb.packets);
+    EXPECT_EQ(ha.table_hits, hb.table_hits);
+    EXPECT_EQ(ha.table_misses, hb.table_misses);
+    EXPECT_EQ(ha.salu_updates, hb.salu_updates);
+    EXPECT_EQ(ha.recirc_passes, hb.recirc_passes);
+    EXPECT_EQ(ha.drops, hb.drops);
+    // Same virtual time on both beds: the windows must agree exactly.
+    EXPECT_EQ(ma.packet_rate(id), mb.packet_rate(id));
+    EXPECT_EQ(ma.recirc_rate(id), mb.recirc_rate(id));
+    EXPECT_EQ(ma.drop_rate(id), mb.drop_rate(id));
+    EXPECT_EQ(ma.recirc_per_packet(id), mb.recirc_per_packet(id));
+    EXPECT_EQ(ma.drop_fraction(id), mb.drop_fraction(id));
+  }
+  EXPECT_EQ(ma.packets_observed(), mb.packets_observed());
+  EXPECT_EQ(a.telemetry.metrics.counter("obs.monitor.packets").value(),
+            b.telemetry.metrics.counter("obs.monitor.packets").value());
+}
+
+TEST(MonitorBatch, HealthAndWindowsMatchPerPacketInject) {
+  BatchBed batched, single;
+  const auto pkts = mixed_trace(600);
+  // 7 ms per batch of 24: windows (10 ms buckets, 100 ms span) roll over
+  // several times during the replay.
+  replay_both(batched, single, pkts, 24, 7.0,
+              [&] { expect_same_health(batched, single); });
+
+  // Not vacuous: every kind of traffic reached the monitor through the
+  // batch fold, and every packet was attributed exactly once.
+  const obs::ProgramHealthMonitor& m = batched.telemetry.monitor;
+  EXPECT_EQ(m.packets_observed(), pkts.size());
+  EXPECT_EQ(batched.dataplane.pipeline().packets_in(), pkts.size());
+  EXPECT_GT(m.health(batched.hh_id)->recirc_passes, 0u);
+  EXPECT_GT(m.health(batched.drop_id)->drops, 0u);
+  EXPECT_GT(m.health(batched.cache_id)->salu_updates, 0u);
+  EXPECT_GT(m.health(0)->packets, 0u);
+  EXPECT_GT(m.packet_rate(batched.hh_id), 0.0);
+  EXPECT_GT(m.drop_rate(batched.drop_id), 0.0);
+}
+
+TEST(MonitorBatch, SampledJourneysMatchPerPacketInject) {
+  BatchBed batched, single;
+  batched.telemetry.flight.set_sample_every(7);
+  single.telemetry.flight.set_sample_every(7);
+  batched.telemetry.flight.set_capacity(1024);
+  single.telemetry.flight.set_capacity(1024);
+  const auto pkts = mixed_trace(300);
+  replay_both(batched, single, pkts, 32, 3.0, [] {});
+  expect_same_health(batched, single);
+
+  const auto& ja = batched.telemetry.flight.journeys();
+  const auto& jb = single.telemetry.flight.journeys();
+  ASSERT_EQ(ja.size(), (pkts.size() + 6) / 7);
+  ASSERT_EQ(ja.size(), jb.size());
+  for (std::size_t i = 0; i < ja.size(); ++i) {
+    SCOPED_TRACE(testing::Message() << "journey " << i);
+    EXPECT_EQ(ja[i].seq, jb[i].seq);
+    EXPECT_EQ(ja[i].seq, 7 * i);
+    EXPECT_EQ(ja[i].program, jb[i].program);
+    EXPECT_EQ(ja[i].program_name, jb[i].program_name);
+    EXPECT_EQ(ja[i].fate, jb[i].fate);
+    EXPECT_EQ(ja[i].t_ms, jb[i].t_ms);
+    EXPECT_EQ(ja[i].recirc_passes, jb[i].recirc_passes);
+    EXPECT_EQ(ja[i].table_hits, jb[i].table_hits);
+    ASSERT_EQ(ja[i].events.size(), jb[i].events.size());
+    EXPECT_FALSE(ja[i].events.empty());
+    for (std::size_t e = 0; e < ja[i].events.size(); ++e) {
+      const rmt::TraceEvent& ea = ja[i].events[e];
+      const rmt::TraceEvent& eb = jb[i].events[e];
+      EXPECT_EQ(ea.block, eb.block);
+      EXPECT_EQ(ea.stage, eb.stage);
+      EXPECT_EQ(ea.round, eb.round);
+      EXPECT_EQ(ea.branch, eb.branch);
+      EXPECT_EQ(ea.op, eb.op);
+      EXPECT_EQ(ea.next_branch, eb.next_branch);
+      EXPECT_EQ(ea.value, eb.value);
+    }
+  }
+}
+
+TEST(MonitorBatch, AlertsCrossedAtBatchBoundaryMatchPerPacketInject) {
+  BatchBed batched, single;
+  // Per batch: 4 cache and 2 dropped packets among hh and unclaimed ones.
+  // The 100 ms window sees every packet (1 ms per batch), so the cache
+  // packet rate reaches 120/s on batch 2's last cache packet and the drop
+  // rate 80/s on batch 3's last dropped packet.
+  std::vector<rmt::Packet> pkts;
+  for (int b = 0; b < 6; ++b) {
+    for (const rmt::Packet& pkt :
+         {cache_packet(), hh_packet(), drop_packet(), cache_packet(),
+          unclaimed_packet(), cache_packet(), drop_packet(), hh_packet(),
+          cache_packet(), unclaimed_packet()}) {
+      pkts.push_back(pkt);
+    }
+  }
+  for (BatchBed* bed : {&batched, &single}) {
+    obs::AlertRule rate{"cache-rate", obs::AlertKind::PacketRate, 120.0};
+    rate.program = bed->cache_id;
+    bed->telemetry.monitor.add_rule(rate);
+    obs::AlertRule drops{"drop-rate", obs::AlertKind::DropRate, 80.0};
+    drops.program = bed->drop_id;
+    bed->telemetry.monitor.add_rule(drops);
+  }
+  replay_both(batched, single, pkts, 10, 1.0, [] {});
+  expect_same_health(batched, single);
+
+  const auto alerts = [](const BatchBed& bed) {
+    std::vector<obs::MonitorEvent> out;
+    for (const auto& e : bed.telemetry.monitor.events()) {
+      if (e.kind == obs::MonitorEvent::Kind::Alert) out.push_back(e);
+    }
+    return out;
+  };
+  const auto aa = alerts(batched);
+  const auto ab = alerts(single);
+  ASSERT_EQ(aa.size(), 2u);
+  ASSERT_EQ(ab.size(), 2u);
+  EXPECT_EQ(aa[0].rule, "cache-rate");
+  EXPECT_EQ(aa[0].program, batched.cache_id);
+  EXPECT_DOUBLE_EQ(aa[1].t_ms - aa[0].t_ms, 1.0);  // batches 2 and 3
+  EXPECT_EQ(aa[1].rule, "drop-rate");
+  EXPECT_EQ(aa[1].program, batched.drop_id);
+  for (std::size_t i = 0; i < aa.size(); ++i) {
+    SCOPED_TRACE(testing::Message() << "alert " << i);
+    EXPECT_EQ(aa[i].seq, ab[i].seq);
+    EXPECT_EQ(aa[i].t_ms, ab[i].t_ms);
+    EXPECT_EQ(aa[i].program, ab[i].program);
+    EXPECT_EQ(aa[i].rule, ab[i].rule);
+    EXPECT_EQ(aa[i].value, ab[i].value);
+    EXPECT_EQ(aa[i].threshold, ab[i].threshold);
+    EXPECT_EQ(aa[i].trace, ab[i].trace);
+  }
+  EXPECT_TRUE(batched.telemetry.flight.frozen());
+  EXPECT_EQ(batched.telemetry.flight.freeze_reason(),
+            single.telemetry.flight.freeze_reason());
+  EXPECT_EQ(batched.telemetry.flight.frozen_at_ms(),
+            single.telemetry.flight.frozen_at_ms());
+}
+
+TEST(MonitorBatch, GlobalTracingBatchMatchesPerPacketInject) {
+  BatchBed batched, single;
+  batched.dataplane.pipeline().set_tracing(true);
+  single.dataplane.pipeline().set_tracing(true);
+  const auto pkts = mixed_trace(200);
+  replay_both(batched, single, pkts, 16, 5.0,
+              [&] { expect_same_health(batched, single); });
+  EXPECT_EQ(batched.telemetry.monitor.packets_observed(), pkts.size());
+  EXPECT_EQ(batched.dataplane.pipeline().total_recirc_passes(),
+            single.dataplane.pipeline().total_recirc_passes());
+  EXPECT_EQ(batched.dataplane.pipeline().packets_dropped(),
+            single.dataplane.pipeline().packets_dropped());
 }
 
 }  // namespace
