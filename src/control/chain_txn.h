@@ -1,31 +1,33 @@
-// Chain transaction: the two-phase, chain-wide extension of
-// ctrl::DeployTransaction. One ChainTransaction owns a single program
-// deployment across every hop of a dp::SwitchChain (mirror mode: the same
-// program, the same allocation, on every switch) and guarantees the
-// paper's update-consistency property end to end:
+// Chain transactions: the hop-wide units every control session runs
+// through. A ChainTransaction deploys one program on every hop of the
+// controller's hop list (a dp::SwitchChain in mirror mode, or the 1-hop
+// list of a single switch) with ctrl::DeployTransaction as the per-hop
+// unit; a ChainRemoval is the matching hop-wide consistent remove. Both
+// keep the paper's update-consistency property end to end:
 //
 //   phase 1 (stage_all): per-hop reserve -> plan -> stage. Reservations and
 //     op-logs are built on EVERY hop before a single control-channel write
 //     lands anywhere; any hop's AllocFailed / staging error aborts the
 //     whole chain with nothing but reservation churn to undo.
-//   phase 2 (commit_all): execute each hop's staged op-log through that
-//     hop's UpdateEngine, hop by hop. A channel fault at ANY (hop, write
-//     index) pair unwinds: the faulted hop is restored by its engine's
-//     rollback journal, and every hop committed before it is un-committed
-//     (consistent remove + reservation release + residual-byte restore),
-//     leaving the whole chain byte-identical to its pre-transaction state.
+//   phase 2 (commit_all, or submit_all / wait_all / finish_all): execute
+//     each hop's staged op-log through that hop's UpdateEngine. A channel
+//     fault at ANY (hop, write index) pair unwinds: the faulted hop is
+//     restored by its engine's rollback journal, and every hop committed
+//     around it is un-committed (consistent remove + reservation release +
+//     residual-byte restore), leaving every hop byte-identical to its
+//     pre-transaction state.
 //
 // Residual bytes: un-committing a hop runs the consistent-remove path,
 // whose lock-and-reset step zeroes the program's memory blocks — but the
 // pre-transaction bytes of those (then-free) blocks were not necessarily
-// zero. stage_all() therefore captures the residual contents of every
-// reserved block, and the unwind writes them back after the remove, so the
+// zero. Whenever an un-commit is possible (more than one hop, or an
+// incremental update relink may unwind), stage_all() captures the residual
+// contents of every reserved block and the unwind writes them back, so the
 // "byte-identical" guarantee covers free memory too.
 //
-// Locking discipline: like DeployTransaction, a chain transaction is
-// single-threaded and must run under the chain controller's session lock
-// from stage_all() onward; only the per-hop allocation solving that feeds
-// it may run concurrently (on snapshots).
+// Locking discipline: single-threaded, under the controller's session lock
+// from stage_all() onward — except wait_all() / ChainRemoval::wait(), which
+// a parked session calls off-lock while the async writers drain.
 #pragma once
 
 #include <map>
@@ -35,10 +37,11 @@
 
 #include "common/result.h"
 #include "control/deploy_txn.h"
+#include "obs/trace.h"
 
 namespace p4runpro::ctrl {
 
-/// One hop's execution context (pointers owned by the chain controller and
+/// One hop's execution context (pointers owned by the controller and
 /// outliving the transaction).
 struct ChainHop {
   dp::RunproDataplane* dataplane = nullptr;
@@ -51,19 +54,23 @@ class ChainTransaction {
   enum class Phase : std::uint8_t {
     Solved,      ///< per-hop allocations bound, nothing reserved yet
     Staged,      ///< every hop reserved + staged, no dataplane writes yet
+    Submitted,   ///< op-logs in flight on every hop's async channel
     Committed,   ///< op-logs executed on every hop
-    RolledBack,  ///< chain-wide pre-transaction state restored
+    RolledBack,  ///< pre-transaction state restored on every hop
   };
 
   /// `allocs` is positional: allocs[h] is hop h's allocation (the caller
   /// verified they agree on rounds — mirror mode). `replacing` != 0 marks
   /// an incremental update carried out per hop (see DeployTransaction).
+  /// `chain_spans` selects the chain_txn.* phase spans; a single switch
+  /// records only its hop's txn.* spans.
   ChainTransaction(std::vector<ChainHop> hops, const rp::TranslatedProgram& ir,
                    std::vector<rp::AllocationResult> allocs, ProgramId id,
                    int filter_priority, ProgramId replacing,
-                   obs::Telemetry* telemetry);
+                   obs::Telemetry* telemetry, bool chain_spans = true);
 
-  /// Abandoning an uncommitted chain transaction rolls it back.
+  /// Abandoning an uncommitted chain transaction rolls it back (a submitted
+  /// one is settled first).
   ~ChainTransaction();
   ChainTransaction(const ChainTransaction&) = delete;
   ChainTransaction& operator=(const ChainTransaction&) = delete;
@@ -74,19 +81,25 @@ class ChainTransaction {
   Status stage_all();
 
   /// Phase 2: execute the staged op-logs hop by hop. On a fault the whole
-  /// chain is restored (see class comment) and the transaction is
+  /// chain is restored (see file comment) and the transaction is
   /// RolledBack; faulted_hop() names the hop whose write failed.
   ///
-  /// Pipelined mode: when EVERY hop's update engine is async, phase 2
-  /// submits all hops' op-logs up front and the per-hop writer threads
-  /// drain their channels concurrently — chain update latency becomes
-  /// max(per-hop channel time) instead of the sum. Consistency is
-  /// unchanged: each hop's op-log still runs in consistent-update order on
-  /// its own channel (filters land last per hop), settlement is in hop
-  /// order, and a fault on any hop still restores the whole chain
-  /// byte-identically (committed hops are un-committed whether they settled
-  /// before or after the faulted one).
+  /// Pipelined mode (every hop's engine async): all op-logs are submitted
+  /// up front and the hops' writers drain their channels concurrently, so
+  /// chain update latency is the slowest hop, not the sum. Each op-log
+  /// still runs in consistent-update order on its own channel, settlement
+  /// is in hop order, and a fault on any hop still un-commits every hop
+  /// that settled, before or after it. That is submit_all() + finish_all()
+  /// under one lock hold; a session that releases its lock while the
+  /// channels drain calls them itself, with wait_all() (lock-free) between.
   Status commit_all();
+  [[nodiscard]] bool pipelined() const;
+  void submit_all();
+  void wait_all();
+  Status finish_all();
+  /// Virtual ms the slowest hop's write spent on its channel (valid after
+  /// finish_all).
+  [[nodiscard]] double channel_ms() const;
 
   /// Release phase-1 reservations on every hop (idempotent; no-op once
   /// Committed).
@@ -94,22 +107,19 @@ class ChainTransaction {
 
   /// Un-commit a COMMITTED transaction: consistently remove the program
   /// from every hop (reverse hop order), release its resources and restore
-  /// residual bytes. Used by the chain controller's relink when retiring
-  /// the old version faults after the new version already committed
-  /// chain-wide. The unwind itself must not fault (single-fault model, the
-  /// same assumption the single-switch journal unwind makes).
+  /// residual bytes. Used when retiring the old version of a relink faults
+  /// after the new version already committed everywhere. The unwind itself
+  /// must not fault (single-fault model, the same assumption the
+  /// single-switch journal unwind makes).
   void unwind_commit();
 
   [[nodiscard]] Phase phase() const noexcept { return phase_; }
   [[nodiscard]] ProgramId id() const noexcept { return id_; }
-  [[nodiscard]] int length() const noexcept { return static_cast<int>(hops_.size()); }
   /// Hop whose reserve/commit failed; -1 while nothing faulted.
   [[nodiscard]] int faulted_hop() const noexcept { return faulted_hop_; }
   /// Per-hop installed programs; valid only while Committed.
   [[nodiscard]] std::vector<InstalledProgram>& installed() noexcept { return installed_; }
-  /// Staged op count of one hop (valid once Staged).
-  [[nodiscard]] std::size_t staged_ops(int hop) const;
-  /// Total staged ops across the chain.
+  /// Total staged ops across the chain (valid once Staged).
   [[nodiscard]] std::size_t total_staged_ops() const;
 
  private:
@@ -120,11 +130,16 @@ class ChainTransaction {
     std::vector<Word> words;
   };
 
+  /// The bundle for chain_txn.* spans (null when they are off).
+  [[nodiscard]] obs::Telemetry* chain_telemetry() const noexcept {
+    return chain_spans_ ? telemetry_ : nullptr;
+  }
+  /// The chain_txn.commit span (inert without chain spans).
+  [[nodiscard]] obs::SpanTracer::Scope commit_span(bool pipelined);
+  /// Hand every hop's staged op-log to its writer (phase -> Submitted).
+  void submit_hops();
   /// Un-commit one hop: consistent remove, release entries, erase the
   /// program record, restore the blocks' residual bytes.
-  void unwind_committed_hop(int hop);
-  /// Same, for a program not (yet) adopted into installed_ — the pipelined
-  /// fault path unwinds hops that settled successfully around the fault.
   void unwind_committed_hop(int hop, InstalledProgram& program);
 
   std::vector<ChainHop> hops_;
@@ -134,12 +149,54 @@ class ChainTransaction {
   int filter_priority_;
   ProgramId replacing_;
   obs::Telemetry* telemetry_;
+  bool chain_spans_;
 
   Phase phase_ = Phase::Solved;
   int faulted_hop_ = -1;
   std::vector<std::unique_ptr<DeployTransaction>> txns_;   // [hop]
   std::vector<std::vector<Residual>> residuals_;           // [hop]
   std::vector<InstalledProgram> installed_;                // [hop], when Committed
+};
+
+/// Hop-wide consistent remove of one program. programs[h] is hop h's copy,
+/// owned by the controller: on success every copy is cleared and its
+/// resources released (the caller drops the records); on a fault every hop
+/// keeps the program running — the faulted hop restored by its journal, the
+/// others re-installed from pre-removal images at their old addresses.
+class ChainRemoval {
+ public:
+  ChainRemoval(std::vector<ChainHop> hops, std::vector<InstalledProgram*> programs);
+
+  /// Remove under one lock hold: hop by hop, or pipelined like
+  /// ChainTransaction::commit_all when every hop's engine is async, which
+  /// is submit() + finish(); a parked session calls wait() off-lock between.
+  Status remove();
+  void submit();
+  void wait();
+  Status finish();
+
+  /// Hop whose remove faulted; -1 while nothing faulted.
+  [[nodiscard]] int faulted_hop() const noexcept { return faulted_hop_; }
+
+ private:
+  /// Pre-removal image of one hop's installed program.
+  struct HopImage {
+    InstalledProgram program;
+    std::map<std::string, std::vector<Word>> words;  // vmem -> block contents
+  };
+
+  /// Images are needed only to restore OTHER hops after a fault, so a
+  /// single hop captures none.
+  void capture_images();
+  /// Re-install hop `hop` from its image (fresh handles).
+  void reinstall(std::size_t hop);
+
+  std::vector<ChainHop> hops_;
+  std::vector<InstalledProgram*> programs_;
+  std::vector<std::map<int, std::uint32_t>> entries_;  ///< [hop] rpb -> entries held
+  std::vector<HopImage> images_;                       ///< [hop], chains only
+  std::vector<UpdateEngine::PendingWrite> pending_;    ///< [hop], split form
+  int faulted_hop_ = -1;
 };
 
 }  // namespace p4runpro::ctrl

@@ -1,20 +1,42 @@
 #include "control/controller.h"
 
+#include <algorithm>
+#include <array>
 #include <cassert>
 #include <future>
 
-#include "control/deploy_txn.h"
-#include "control/lock_hold.h"
 #include "obs/telemetry.h"
 
 namespace p4runpro::ctrl {
 
+/// The names that differ between the two surfaces. Not a user option: the
+/// constructor picks the table from what it was built over.
+struct SessionNames {
+  const char* link_span;
+  const char* relink_span;
+  const char* revoke_span;
+  const char* solve_span;
+  std::array<const char*, 5> event_counters;  ///< by ControlEvent::Kind
+};
+
 namespace {
+
+constexpr SessionNames kSwitchNames{
+    "link", "relink", "revoke", "solve",
+    {"ctrl.events.link", "ctrl.events.relink", "ctrl.events.revoke",
+     "ctrl.events.link_failed", "ctrl.events.revoke_failed"}};
+
+constexpr SessionNames kChainNames{
+    "chain_link", "chain_relink", "chain_revoke", "chain_txn.solve",
+    {"ctrl.chain.events.link", "ctrl.chain.events.relink",
+     "ctrl.chain.events.revoke", "ctrl.chain.events.link_failed",
+     "ctrl.chain.events.revoke_failed"}};
 
 // A session's resource demand is computable straight from the IR — before
 // solving — and equals the committed footprint exactly (reserve takes
 // ir.vmem_sizes words per vmem and one entry per node / per branch case).
-// That exactness is what makes charge-at-admission quota accounting sound.
+// That exactness is what makes charge-at-admission quota accounting sound,
+// and lets a revoke release the charge from the IR a removal leaves intact.
 [[nodiscard]] std::uint64_t memory_demand(const rp::TranslatedProgram& ir) {
   std::uint64_t words = 0;
   for (const auto& [vmem, size] : ir.vmem_sizes) {
@@ -28,36 +50,94 @@ namespace {
   return static_cast<std::uint64_t>(ir.total_entries());
 }
 
-/// Stage-memory words an installed program holds (== memory_demand of its
-/// IR; read from the placements so revoke can release without the IR).
-[[nodiscard]] std::uint64_t footprint_words(const InstalledProgram& program) {
-  std::uint64_t words = 0;
-  for (const auto& [vmem, placement] : program.placements) {
-    (void)vmem;
-    words += placement.block.size;
-  }
-  return words;
+[[nodiscard]] Error name_conflict(const std::string& name) {
+  return Error{"a program named '" + name + "' is already running", "Controller",
+               ErrorCode::Conflict};
+}
+
+[[nodiscard]] std::vector<dp::RunproDataplane*> switches_of(dp::SwitchChain& chain) {
+  std::vector<dp::RunproDataplane*> switches;
+  for (int h = 0; h < chain.length(); ++h) switches.push_back(&chain.switch_at(h));
+  return switches;
 }
 
 }  // namespace
 
-Controller::Controller(dp::RunproDataplane& dataplane, SimClock& clock,
+/// One control operation holding the session lock: its causal trace scope
+/// (bundle-shared state, so it lives inside the lock) and the virtual time
+/// it holds the lock, observed into "ctrl.commit.lock_hold_ms". park()
+/// releases the lock and the trace context while async writes drain and
+/// re-adopts both, so a pipelined commit's hold collapses to the submit +
+/// settle slivers while its update delay is unchanged.
+class Controller::Session {
+ public:
+  explicit Session(Controller& controller)
+      : c_(controller),
+        lock_(controller.mu_),
+        trace_(std::in_place, controller.telemetry_),
+        start_ms_(controller.clock_.now_ms()) {}
+  Session(const Session&) = delete;
+  Session& operator=(const Session&) = delete;
+  ~Session() {
+    held_ms_ += c_.clock_.now_ms() - start_ms_;
+    c_.telemetry_->metrics.histogram("ctrl.commit.lock_hold_ms").observe(held_ms_);
+  }
+
+  /// Run `wait` with the lock released.
+  template <typename Wait>
+  void park(Wait&& wait) {
+    held_ms_ += c_.clock_.now_ms() - start_ms_;
+    const obs::TraceContext ctx = c_.telemetry_->active_trace;
+    trace_.reset();  // shared state: never leave a context installed off-lock
+    lock_.unlock();
+    wait();
+    lock_.lock();
+    trace_.emplace(c_.telemetry_, ctx);  // finish-side spans carry our trace id
+    start_ms_ = c_.clock_.now_ms();
+  }
+  [[nodiscard]] std::uint64_t trace_id() const { return trace_->trace_id(); }
+
+ private:
+  Controller& c_;
+  std::unique_lock<std::mutex> lock_;
+  std::optional<obs::TraceScope> trace_;
+  double start_ms_;
+  double held_ms_ = 0.0;
+};
+
+Controller::Controller(dp::SwitchChain* chain,
+                       std::vector<dp::RunproDataplane*> switches, SimClock& clock,
                        rp::Objective objective, BfrtCostModel cost,
                        obs::Telemetry* telemetry)
-    : dataplane_(dataplane),
+    : chain_(chain),
+      names_(chain != nullptr ? &kChainNames : &kSwitchNames),
       clock_(clock),
       objective_(objective),
-      telemetry_(&obs::telemetry_or_default(telemetry)),
-      resources_(dataplane.spec()),
-      updates_(dataplane, resources_, clock, cost) {
+      telemetry_(&obs::telemetry_or_default(telemetry)) {
   // One bundle for the whole stack: phase spans are stamped with this
   // controller's virtual clock, and every layer reports into one registry.
   telemetry_->tracer.set_clock(&clock_);
   telemetry_->monitor.set_clock(&clock_);
-  dataplane_.attach_telemetry(telemetry_);
-  dataplane_.pipeline().set_observer(&telemetry_->monitor);
-  resources_.attach_telemetry(telemetry_);
-  updates_.set_telemetry(telemetry_);
+  for (dp::RunproDataplane* dataplane : switches) {
+    hops_.push_back(std::make_unique<Hop>(*dataplane, clock_, cost));
+    hops_.back()->updates.set_telemetry(telemetry_);
+    if (chain_ != nullptr) hops_.back()->updates.set_hop_label(hop_count() - 1);
+  }
+  if (hops_.size() > 1) {
+    solve_pool_ = std::make_unique<common::ThreadPool>(std::min<unsigned>(
+        static_cast<unsigned>(hops_.size()), common::ThreadPool::default_thread_count()));
+  }
+}
+
+Controller::Controller(dp::RunproDataplane& dataplane, SimClock& clock,
+                       rp::Objective objective, BfrtCostModel cost,
+                       obs::Telemetry* telemetry)
+    : Controller(nullptr, {&dataplane}, clock, objective, cost, telemetry) {
+  // A single switch also wires its data plane into the bundle. (A chain
+  // does not: per-hop occupancy gauges would collide in one registry.)
+  dataplane.attach_telemetry(telemetry_);
+  dataplane.pipeline().set_observer(&telemetry_->monitor);
+  hop_at(0).resources.attach_telemetry(telemetry_);
   // Admission gauges as probes: the admission controller is internally
   // synchronized, so sampling at export time is safe from any thread.
   telemetry_->metrics.register_probe("ctrl.tenant.queue_depth", this, [this] {
@@ -67,6 +147,11 @@ Controller::Controller(dp::RunproDataplane& dataplane, SimClock& clock,
     return static_cast<double>(admission_.inflight());
   });
 }
+
+Controller::Controller(dp::SwitchChain& chain, SimClock& clock,
+                       rp::Objective objective, BfrtCostModel cost,
+                       obs::Telemetry* telemetry)
+    : Controller(&chain, switches_of(chain), clock, objective, cost, telemetry) {}
 
 Controller::~Controller() { telemetry_->metrics.unregister_probes(this); }
 
@@ -80,6 +165,31 @@ const obs::ProgramHealthMonitor& Controller::monitor() const noexcept {
 
 obs::FlightRecorder& Controller::flight_recorder() noexcept {
   return telemetry_->flight;
+}
+
+std::vector<ChainHop> Controller::hop_contexts() {
+  std::vector<ChainHop> contexts;
+  contexts.reserve(hops_.size());
+  for (auto& hop : hops_) {
+    contexts.push_back(ChainHop{&hop->dataplane, &hop->resources, &hop->updates});
+  }
+  return contexts;
+}
+
+std::vector<ResourceManager::Snapshot> Controller::snapshots_locked() const {
+  std::vector<ResourceManager::Snapshot> snapshots;
+  snapshots.reserve(hops_.size());
+  for (const auto& hop : hops_) snapshots.push_back(hop->resources.snapshot());
+  return snapshots;
+}
+
+bool Controller::pipelined() const {
+  return std::all_of(hops_.begin(), hops_.end(),
+                     [](const auto& hop) { return hop->updates.async(); });
+}
+
+void Controller::quiesce() const {
+  for (const auto& hop : hops_) hop->updates.wait_idle();
 }
 
 ProgramId Controller::next_program_id() {
@@ -105,45 +215,57 @@ void Controller::record_event(ControlEvent::Kind kind, ProgramId id,
                               const std::string& name, const std::string& detail) {
   events_.push_back(ControlEvent{kind, clock_.now_ms(), id, name, detail});
   if (events_.size() > 1024) events_.pop_front();
-  const char* counter = nullptr;
-  switch (kind) {
-    case ControlEvent::Kind::Link: counter = "ctrl.events.link"; break;
-    case ControlEvent::Kind::Relink: counter = "ctrl.events.relink"; break;
-    case ControlEvent::Kind::Revoke: counter = "ctrl.events.revoke"; break;
-    case ControlEvent::Kind::LinkFailed: counter = "ctrl.events.link_failed"; break;
-    case ControlEvent::Kind::RevokeFailed:
-      counter = "ctrl.events.revoke_failed";
-      break;
+  telemetry_->metrics.counter(names_->event_counters[static_cast<std::size_t>(kind)])
+      .inc();
+}
+
+Error Controller::fail_locked(ControlEvent::Kind kind, ProgramId id,
+                              const std::string& name, int faulted_hop,
+                              const Error& err) {
+  if (id != 0) {
+    if (chain_ != nullptr) {
+      telemetry_->monitor.chain_txn_rolled_back(id, name, hop_count(), faulted_hop,
+                                                err.str());
+    } else {
+      telemetry_->monitor.txn_rolled_back(id, name, err.str());
+    }
   }
-  if (counter != nullptr) telemetry_->metrics.counter(counter).inc();
+  record_event(kind, id, name, err.str());
+  return err;
+}
+
+void Controller::note_commit(ProgramId id, const std::string& name) {
+  if (chain_ != nullptr) {
+    telemetry_->monitor.chain_txn_committed(id, name, hop_count());
+  } else {
+    telemetry_->monitor.txn_committed(id, name);
+  }
 }
 
 void Controller::record_link_histograms(const LinkResult& result) {
   // Route the deployment-delay breakdown (LinkStats) through the registry:
   // the §6.2.1 quantities become queryable histograms.
   auto& m = telemetry_->metrics;
+  if (chain_ != nullptr) {
+    m.histogram("ctrl.chain.deploy_ms").observe(result.stats.deploy_ms());
+    return;
+  }
   m.histogram("ctrl.link.parse_ms").observe(result.stats.parse_ms);
   m.histogram("ctrl.link.alloc_ms").observe(result.stats.alloc_ms);
   m.histogram("ctrl.link.update_ms").observe(result.stats.update_ms);
   m.histogram("ctrl.link.deploy_ms").observe(result.stats.deploy_ms());
 }
 
+// --- link ------------------------------------------------------------------
+
 Result<std::vector<LinkResult>> Controller::link(std::string_view source) {
-  std::lock_guard<std::mutex> lock(mu_);
-  // Causal trace for the whole operation (adopted when a ChainController
-  // entry point is already active). Constructed inside the lock: the
-  // context is bundle-shared state, like the tracer.
-  obs::TraceScope trace(telemetry_);
-  LockHoldTimer hold(clock_, telemetry_);
-  auto results = link_locked(source);
-  if (results.ok()) {
-    for (auto& r : results.value()) r.trace = trace.trace_id();
-  }
-  return results;
+  return link_unit(source, false);
 }
 
-Result<std::vector<LinkResult>> Controller::link_locked(std::string_view source) {
-  auto link_span = telemetry_->tracer.span("link", "ctrl");
+Result<std::vector<LinkResult>> Controller::link_unit(std::string_view source,
+                                                      bool single_program) {
+  Session session(*this);
+  auto link_span = telemetry_->tracer.span(names_->link_span, "ctrl");
   // Parse + check + translate. The paper measures ~2 ms average parse time
   // on the switch CPU; charge it to the simulated clock. compile_source
   // emits the "parse" and "translate" child spans.
@@ -151,31 +273,38 @@ Result<std::vector<LinkResult>> Controller::link_locked(std::string_view source)
   auto compiled = rp::compile_source(source, telemetry_);
   clock_.advance_ms(2.0);
   if (!compiled.ok()) {
-    record_event(ControlEvent::Kind::LinkFailed, 0, "<compile>",
-                 compiled.error().str());
-    return compiled.error();
+    return fail_locked(ControlEvent::Kind::LinkFailed, 0, "<compile>", -1,
+                       compiled.error());
+  }
+  if (single_program && compiled.value().size() != 1) {
+    return Error{"chain link expects a single-program source unit", "Controller",
+                 ErrorCode::InvalidArgument};
   }
   const double parse_ms = clock_.now_ms() - parse_start_ms;
 
   std::vector<LinkResult> results;
   for (const auto& ir : compiled.value()) {
-    auto linked = link_one_locked(ir);
-    if (!linked.ok()) {
+    auto deployed = deploy_locked(ir, 0);
+    if (!deployed.ok()) {
       // All-or-nothing: revoke programs linked earlier in this unit.
-      // (link_one_locked already audited the failure.)
+      // (deploy_locked already audited the failure.)
       for (const auto& r : results) {
         const Status s = revoke_locked(r.id);
         assert(s.ok());
         (void)s;
       }
-      return linked.error();
+      return deployed.error();
     }
-    record_event(ControlEvent::Kind::Link, linked.value().id, ir.name);
-    results.push_back(std::move(linked).take());
+    adopt_locked(*deployed.value().txn, 0, true);
+    record_event(ControlEvent::Kind::Link, deployed.value().result.id, ir.name);
+    results.push_back(std::move(deployed.value().result));
     results.back().stats.parse_ms = parse_ms / static_cast<double>(compiled.value().size());
   }
 
-  for (const auto& r : results) record_link_histograms(r);
+  for (auto& r : results) {
+    r.trace = session.trace_id();
+    record_link_histograms(r);
+  }
   link_span.arg("programs", static_cast<std::uint64_t>(results.size()));
   return results;
 }
@@ -190,79 +319,163 @@ Result<LinkResult> Controller::link_single(std::string_view source) {
   return std::move(results.value().front());
 }
 
-Result<LinkResult> Controller::link_one_locked(const rp::TranslatedProgram& ir,
-                                               ProgramId replacing,
-                                               TenantId tenant) {
-  // Every rollback leaves an audit trail: a LinkFailed event carrying the
-  // coded error, plus a TxnRollback entry in the monitor stream when a
-  // transaction (id assigned) was actually begun.
-  auto fail = [&](ProgramId id, const Error& err) -> Error {
-    if (id != 0) telemetry_->monitor.txn_rolled_back(id, ir.name, err.str());
-    record_event(ControlEvent::Kind::LinkFailed, id, ir.name, err.str());
-    return err;
+Result<Controller::Deployed> Controller::deploy_locked(const rp::TranslatedProgram& ir,
+                                                       ProgramId replacing) {
+  auto fail = [&](const Error& err) {
+    return fail_locked(ControlEvent::Kind::LinkFailed, 0, ir.name, -1, err);
   };
-
-  if (const InstalledProgram* existing = program_by_name_unlocked(ir.name);
-      (existing != nullptr && existing->id != replacing) ||
-      pending_names_.count(ir.name) != 0) {
-    return fail(0, Error{"a program named '" + ir.name + "' is already running",
-                         "Controller", ErrorCode::Conflict});
+  if (chain_ != nullptr) {
+    if (auto s = chain_->uniform_specs(); !s.ok()) return fail(s.error());
   }
+  if (name_taken(ir.name, replacing)) return fail(name_conflict(ir.name));
 
-  // Allocation (real measured solver time, §6.2.1 "allocation delay").
-  auto solve_span = telemetry_->tracer.span("solve", "ctrl");
+  // Allocation (real measured solver time, §6.2.1 "allocation delay"). A
+  // single switch solves inline and reports into the bundle; chain hops
+  // solve on the pool, where the bundle is off limits.
+  auto solve_span = telemetry_->tracer.span(names_->solve_span, "ctrl");
+  if (chain_ != nullptr) solve_span.arg("hops", static_cast<std::uint64_t>(hops_.size()));
   WallTimer timer;
-  const auto snapshot = resources_.snapshot();
-  auto alloc = rp::solve_allocation(ir, dataplane_.spec(), snapshot, objective_,
-                                    telemetry_);
+  auto allocs = solve_hops(ir, snapshots_locked(), chain_ != nullptr ? nullptr : telemetry_);
   const double alloc_ms =
       fixed_alloc_charge_ms_ ? *fixed_alloc_charge_ms_ : timer.elapsed_ms();
   clock_.advance_ms(alloc_ms);
-  if (alloc.ok()) {
-    solve_span.arg("nodes_explored", alloc.value().nodes_explored);
-    solve_span.arg("rounds", static_cast<std::uint64_t>(alloc.value().rounds));
+  if (allocs.ok() && chain_ == nullptr) {
+    solve_span.arg("nodes_explored", allocs.value().front().nodes_explored);
+    solve_span.arg("rounds", static_cast<std::uint64_t>(allocs.value().front().rounds));
   }
   solve_span.end();
-  if (!alloc.ok()) return fail(0, alloc.error());
-
-  // Transaction: reserve -> plan -> stage -> commit, rollback on any fault.
-  const ProgramId id = next_program_id();
-  DeployTransaction txn(
-      DeployContext{dataplane_, resources_, updates_, telemetry_}, ir,
-      std::move(alloc).take(), id, ++filter_generation_, replacing);
-  if (auto s = txn.reserve(); !s.ok()) {
-    recycle_failed_id(id);
-    return fail(id, s.error());
+  if (!allocs.ok()) return fail(allocs.error());
+  if (chain_ != nullptr) {
+    if (auto s = check_mirror(ir, allocs.value()); !s.ok()) return fail(s.error());
   }
-  txn.plan_entries();
-  txn.stage();
-
-  // Consistent update (simulated bfrt writes; §6.2.1 "update delay").
-  auto install_span = telemetry_->tracer.span("install", "ctrl");
-  const double update_start_ms = clock_.now_ms();
-  auto installed = txn.commit();
-  const double update_ms = clock_.now_ms() - update_start_ms;
-  install_span.end();
-  if (!installed.ok()) {
-    recycle_failed_id(id);
-    return fail(id, installed.error());
-  }
-  telemetry_->monitor.txn_committed(id, ir.name);
-  InstalledProgram program = std::move(installed).take();
-  program.tenant = tenant;
-  // Unchecked charge: serial/relink/defrag callers bypass the quota gate
-  // (the concurrent session path charges at admission instead and never
-  // reaches this function).
-  tenants_.charge(tenant, memory_demand(ir), entry_demand(ir));
-  programs_.emplace(id, std::move(program));
-
-  LinkResult result;
-  result.id = id;
-  result.name = ir.name;
-  result.stats.alloc_ms = alloc_ms;
-  result.stats.update_ms = update_ms;
-  return result;
+  return commit_locked(ir, std::move(allocs).take(), replacing, alloc_ms);
 }
+
+Result<std::vector<rp::AllocationResult>> Controller::solve_hops(
+    const rp::TranslatedProgram& ir, std::vector<ResourceManager::Snapshot> snapshots,
+    obs::Telemetry* telemetry) const {
+  std::vector<rp::AllocationResult> allocs;
+  allocs.reserve(hops_.size());
+  if (hops_.size() == 1) {
+    auto alloc = rp::solve_allocation(ir, hops_[0]->dataplane.spec(), snapshots[0],
+                                      objective_, telemetry);
+    if (!alloc.ok()) return alloc.error();
+    allocs.push_back(std::move(alloc).take());
+    return allocs;
+  }
+  // One solve per hop, in parallel, each against its hop's own snapshot.
+  // Occupancies evolve in lockstep, so the solves are expected to agree —
+  // check_mirror enforces it.
+  std::vector<std::future<Result<rp::AllocationResult>>> futures;
+  futures.reserve(hops_.size());
+  for (std::size_t h = 0; h < hops_.size(); ++h) {
+    futures.push_back(solve_pool_->submit(
+        [&ir, snapshot = std::move(snapshots[h]), &spec = hops_[h]->dataplane.spec(),
+         objective = objective_] {
+          return rp::solve_allocation(ir, spec, snapshot, objective, nullptr);
+        }));
+  }
+  std::optional<Error> first_error;
+  for (auto& future : futures) {
+    auto alloc = future.get();
+    if (!alloc.ok()) {
+      if (!first_error) first_error = alloc.error();
+      continue;
+    }
+    allocs.push_back(std::move(alloc).take());
+  }
+  if (first_error) return *first_error;
+  return allocs;
+}
+
+Status Controller::check_mirror(const rp::TranslatedProgram& ir,
+                                const std::vector<rp::AllocationResult>& allocs) const {
+  for (std::size_t h = 1; h < allocs.size(); ++h) {
+    if (allocs[h].x != allocs[0].x || allocs[h].vmem_rpb != allocs[0].vmem_rpb) {
+      return Error{"per-hop allocations diverged at hop " + std::to_string(h) +
+                       " — chain occupancies must evolve in lockstep",
+                   "Controller", ErrorCode::Conflict};
+    }
+  }
+  const int total_rpbs = chain_->spec_at(0).total_rpbs();
+  if (auto s = dp::SwitchChain::chain_compatibility(ir.vmem_depths, allocs[0].x,
+                                                    total_rpbs);
+      !s.ok()) {
+    return s;
+  }
+  if (allocs[0].rounds > chain_->length()) {
+    return Error{"program '" + ir.name + "' needs " +
+                     std::to_string(allocs[0].rounds) + " rounds but the chain "
+                     "has only " + std::to_string(chain_->length()) + " hops",
+                 "Controller", ErrorCode::InvalidArgument};
+  }
+  return {};
+}
+
+Result<Controller::Deployed> Controller::commit_locked(
+    const rp::TranslatedProgram& ir, std::vector<rp::AllocationResult> allocs,
+    ProgramId replacing, double alloc_ms, Session* session, bool may_retry) {
+  // Transaction: reserve -> plan -> stage -> commit on every hop, rollback
+  // on any fault.
+  const ProgramId id = next_program_id();
+  auto txn = std::make_unique<ChainTransaction>(hop_contexts(), ir, std::move(allocs),
+                                                id, ++filter_generation_, replacing,
+                                                telemetry_, chain_ != nullptr);
+  if (auto s = txn->stage_all(); !s.ok()) {
+    recycle_failed_id(id);
+    if (may_retry && s.error().code == ErrorCode::AllocFailed) return s.error();
+    return fail_locked(ControlEvent::Kind::LinkFailed, id, ir.name, txn->faulted_hop(),
+                       s.error());
+  }
+  // Consistent update (simulated bfrt writes; §6.2.1 "update delay").
+  Status committed;
+  double update_ms = 0.0;
+  if (session != nullptr && txn->pipelined()) {
+    // Pipelined commit: submit under the lock, park OFF-lock while the
+    // writers drain the channels, settle under the lock again. The name
+    // guard keeps concurrent sessions from double-booking the name while
+    // we are away; reservations and the staged batches are already ours.
+    pending_names_.insert(ir.name);
+    txn->submit_all();
+    session->park([&] { txn->wait_all(); });
+    committed = txn->finish_all();
+    pending_names_.erase(ir.name);
+    update_ms = txn->channel_ms();
+  } else {
+    // A serial single-switch call reports the commit as "install"; a chain
+    // as chain_txn.commit.
+    auto install_span = obs::span(
+        chain_ != nullptr || session != nullptr ? nullptr : telemetry_, "install", "ctrl");
+    const double update_start_ms = clock_.now_ms();
+    committed = txn->commit_all();
+    update_ms = clock_.now_ms() - update_start_ms;
+  }
+  if (!committed.ok()) {
+    recycle_failed_id(id);
+    return fail_locked(ControlEvent::Kind::LinkFailed, id, ir.name, txn->faulted_hop(),
+                       committed.error());
+  }
+  note_commit(id, ir.name);
+  return Deployed{LinkResult{id, ir.name, LinkStats{0.0, alloc_ms, update_ms}, 0},
+                  std::move(txn)};
+}
+
+void Controller::adopt_locked(ChainTransaction& txn, TenantId tenant, bool charge) {
+  auto& installed = txn.installed();
+  assert(installed.size() == hops_.size());
+  for (std::size_t h = 0; h < hops_.size(); ++h) {
+    installed[h].tenant = tenant;
+    hops_[h]->programs.insert_or_assign(txn.id(), std::move(installed[h]));
+  }
+  // Unchecked charge: serial/relink/defrag callers bypass the quota gate
+  // (the concurrent session path charges at admission instead).
+  if (charge) {
+    const rp::TranslatedProgram& ir = hops_[0]->programs.at(txn.id()).ir;
+    tenants_.charge(tenant, memory_demand(ir), entry_demand(ir));
+  }
+}
+
+// --- concurrent sessions ----------------------------------------------------
 
 std::vector<Result<LinkResult>> Controller::link_many(
     const std::vector<std::string>& sources, common::ThreadPool& pool,
@@ -296,9 +509,8 @@ Result<LinkResult> Controller::link_session(const SessionSpec& session,
   if (!compiled.ok()) {
     std::lock_guard<std::mutex> lock(mu_);
     clock_.advance_ms(2.0);
-    record_event(ControlEvent::Kind::LinkFailed, 0, "<compile>",
-                 compiled.error().str());
-    return compiled.error();
+    return fail_locked(ControlEvent::Kind::LinkFailed, 0, "<compile>", -1,
+                       compiled.error());
   }
   if (compiled.value().size() != 1) {
     return Error{"link_many expects single-program source units", "Controller",
@@ -317,8 +529,7 @@ Result<LinkResult> Controller::link_session(const SessionSpec& session,
     std::lock_guard<std::mutex> lock(mu_);
     telemetry_->metrics.counter("ctrl.tenant.shed").inc();
     telemetry_->monitor.admission_shed(tenant, ir.name, grant.error().str());
-    record_event(ControlEvent::Kind::LinkFailed, 0, ir.name, grant.error().str());
-    return grant.error();
+    return fail_locked(ControlEvent::Kind::LinkFailed, 0, ir.name, -1, grant.error());
   }
   const double queue_wait_ms = wait_timer.elapsed_ms();
 
@@ -345,8 +556,7 @@ Result<LinkResult> Controller::link_session_admitted(
   if (auto s = tenants_.admit(tenant, mem_words, entry_count); !s.ok()) {
     std::lock_guard<std::mutex> lock(mu_);
     telemetry_->metrics.counter("ctrl.tenant.quota_rejected").inc();
-    record_event(ControlEvent::Kind::LinkFailed, 0, ir.name, s.error().str());
-    return s.error();
+    return fail_locked(ControlEvent::Kind::LinkFailed, 0, ir.name, -1, s.error());
   }
   struct ChargeGuard {
     TenantRegistry& tenants;
@@ -361,142 +571,83 @@ Result<LinkResult> Controller::link_session_admitted(
   Error conflict{"parallel link: retries exhausted", "Controller",
                  ErrorCode::AllocFailed};
   for (int attempt = 0; attempt <= options.max_solve_retries; ++attempt) {
-    // Solve against a snapshot off-lock (the expensive phase runs in
+    // Solve against per-hop snapshots off-lock (the expensive phase runs in
     // parallel across sessions).
-    ResourceManager::Snapshot snapshot;
+    std::vector<ResourceManager::Snapshot> snapshots;
     {
       std::lock_guard<std::mutex> lock(mu_);
-      snapshot = resources_.snapshot();
+      snapshots = snapshots_locked();
     }
     WallTimer timer;
-    auto alloc =
-        rp::solve_allocation(ir, dataplane_.spec(), snapshot, objective_, nullptr);
+    auto allocs = solve_hops(ir, std::move(snapshots), nullptr);
     const double solve_ms = timer.elapsed_ms();
 
     // Reservation + staged commit serialize under the session lock; the
-    // clock, telemetry and audit log are only touched here. (A unique_lock:
-    // the async channel path parks off-lock while its write is in flight.)
-    std::unique_lock<std::mutex> lock(mu_);
-    // Per-attempt trace scope (the context is lock-protected shared state);
-    // the successful attempt's id is the one the LinkResult reports. Held in
-    // an optional so the async path can drop it across the unlocked wait and
-    // re-adopt the captured context afterwards.
-    std::optional<obs::TraceScope> trace(std::in_place, telemetry_);
-    LockHoldTimer hold(clock_, telemetry_);
+    // clock, telemetry and audit log are only touched here. Each attempt is
+    // its own session: the successful attempt's trace id is the one the
+    // LinkResult reports.
+    Session session(*this);
     if (attempt == 0) clock_.advance_ms(2.0);  // parse charge, once
     const double alloc_ms =
         fixed_alloc_charge_ms_ ? *fixed_alloc_charge_ms_ : solve_ms;
     clock_.advance_ms(alloc_ms);
-    if (!alloc.ok()) {
-      if (alloc.error().code == ErrorCode::AllocFailed && auto_defrag_ &&
+    if (!allocs.ok()) {
+      if (allocs.error().code == ErrorCode::AllocFailed && auto_defrag_ &&
           attempt < options.max_solve_retries) {
         // The snapshot had the words but not the contiguity: compact, then
         // burn a retry on the improved memory map instead of an unchanged
         // one. Bounded like every retry — a genuinely full switch still
         // exhausts the cap and reports AllocFailed.
-        conflict = alloc.error();
+        conflict = allocs.error();
         telemetry_->metrics.counter("ctrl.link.retries").inc();
         defragment_locked(DefragOptions{});
         continue;
       }
-      record_event(ControlEvent::Kind::LinkFailed, 0, ir.name,
-                   alloc.error().str());
-      return alloc.error();
+      return fail_locked(ControlEvent::Kind::LinkFailed, 0, ir.name, -1,
+                         allocs.error());
     }
-    if (program_by_name_unlocked(ir.name) != nullptr ||
-        pending_names_.count(ir.name) != 0) {
-      const Error err{"a program named '" + ir.name + "' is already running",
-                      "Controller", ErrorCode::Conflict};
-      record_event(ControlEvent::Kind::LinkFailed, 0, ir.name, err.str());
-      return err;
-    }
-
-    const ProgramId id = next_program_id();
-    DeployTransaction txn(
-        DeployContext{dataplane_, resources_, updates_, telemetry_}, ir,
-        std::move(alloc).take(), id, ++filter_generation_, 0);
-    if (auto s = txn.reserve(); !s.ok()) {
-      recycle_failed_id(id);
-      if (s.error().code == ErrorCode::AllocFailed &&
-          attempt < options.max_solve_retries) {
-        // Another session took the resources between snapshot and lock:
-        // re-snapshot and re-solve.
-        conflict = s.error();
-        telemetry_->metrics.counter("ctrl.link.retries").inc();
-        if (auto_defrag_) defragment_locked(DefragOptions{});
-        continue;
+    if (chain_ != nullptr) {
+      if (auto s = check_mirror(ir, allocs.value()); !s.ok()) {
+        return fail_locked(ControlEvent::Kind::LinkFailed, 0, ir.name, -1, s.error());
       }
-      telemetry_->monitor.txn_rolled_back(id, ir.name, s.error().str());
-      record_event(ControlEvent::Kind::LinkFailed, id, ir.name, s.error().str());
-      return s.error();
     }
-    txn.plan_entries();
-    txn.stage();
+    if (name_taken(ir.name, 0)) {
+      return fail_locked(ControlEvent::Kind::LinkFailed, 0, ir.name, -1,
+                         name_conflict(ir.name));
+    }
 
-    const double update_start_ms = clock_.now_ms();
-    Result<InstalledProgram> installed = [&]() -> Result<InstalledProgram> {
-      if (!updates_.async()) return txn.commit();
-      // Pipelined commit: submit under the lock, park OFF-lock while the
-      // writer drains the channel, settle under the lock again. The name
-      // guard keeps concurrent sessions from double-booking the name while
-      // we are away; reservations and the staged batch are already ours.
-      pending_names_.insert(ir.name);
-      txn.commit_submit();
-      const obs::TraceContext ctx = telemetry_->active_trace;
-      trace.reset();  // shared state: never leave a context installed off-lock
-      hold.pause();
-      lock.unlock();
-      txn.commit_wait();
-      lock.lock();
-      hold.resume();
-      trace.emplace(telemetry_, ctx);  // finish-side spans carry our trace id
-      auto result = txn.commit_finish();
-      pending_names_.erase(ir.name);
-      return result;
-    }();
-    const double update_ms =
-        updates_.async() ? txn.channel_ms() : clock_.now_ms() - update_start_ms;
-    if (!installed.ok()) {
-      recycle_failed_id(id);
-      telemetry_->monitor.txn_rolled_back(id, ir.name, installed.error().str());
-      record_event(ControlEvent::Kind::LinkFailed, id, ir.name,
-                   installed.error().str());
-      return installed.error();
+    auto deployed = commit_locked(ir, std::move(allocs).take(), 0, alloc_ms, &session,
+                                  attempt < options.max_solve_retries);
+    if (!deployed.ok()) {
+      if (deployed.error().code != ErrorCode::AllocFailed ||
+          attempt == options.max_solve_retries) {
+        return deployed.error();
+      }
+      // Another session took the resources between snapshot and lock:
+      // re-snapshot and re-solve.
+      conflict = deployed.error();
+      telemetry_->metrics.counter("ctrl.link.retries").inc();
+      if (auto_defrag_) defragment_locked(DefragOptions{});
+      continue;
     }
-    telemetry_->monitor.txn_committed(id, ir.name);
-    InstalledProgram program = std::move(installed).take();
-    program.tenant = tenant;
+    adopt_locked(*deployed.value().txn, tenant, false);
     charge_guard.armed = false;  // install owns the admission charge now
-    programs_.emplace(id, std::move(program));
-    record_event(ControlEvent::Kind::Link, id, ir.name);
-
-    LinkResult result;
-    result.id = id;
-    result.name = ir.name;
+    LinkResult& result = deployed.value().result;
+    record_event(ControlEvent::Kind::Link, result.id, ir.name);
     result.stats.parse_ms = 2.0;
-    result.stats.alloc_ms = alloc_ms;
-    result.stats.update_ms = update_ms;
-    result.trace = trace->trace_id();
+    result.trace = session.trace_id();
     record_link_histograms(result);
-    return result;
+    return std::move(result);
   }
   return conflict;
 }
 
+// --- relink / revoke ---------------------------------------------------------
+
 Result<LinkResult> Controller::relink(ProgramId old_id, std::string_view source) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (program_unlocked(old_id) == nullptr) {
-    return Error{"no running program with id " + std::to_string(old_id),
-                 "Controller", ErrorCode::NotFound};
-  }
-  if (busy_ids_.count(old_id) != 0) {
-    return Error{"program " + std::to_string(old_id) +
-                     " has a revoke in flight on the async channel",
-                 "Controller", ErrorCode::Conflict};
-  }
-  obs::TraceScope trace(telemetry_);
-  LockHoldTimer hold(clock_, telemetry_);
-  auto relink_span = telemetry_->tracer.span("relink", "ctrl");
+  Session session(*this);
+  if (auto s = check_revocable(old_id); !s.ok()) return s.error();
+  auto relink_span = telemetry_->tracer.span(names_->relink_span, "ctrl");
   auto compiled = rp::compile_source(source, telemetry_);
   clock_.advance_ms(2.0);
   if (!compiled.ok()) return compiled.error();
@@ -505,101 +656,42 @@ Result<LinkResult> Controller::relink(ProgramId old_id, std::string_view source)
                  ErrorCode::InvalidArgument};
   }
 
-  // Install the new version first (it stays invisible until its filter
-  // lands, which outranks the old one), then retire the old version. The
-  // new version stays attributed to the old version's tenant.
-  const TenantId tenant = program_unlocked(old_id)->tenant;
-  auto linked = link_one_locked(compiled.value().front(), old_id, tenant);
-  if (!linked.ok()) return linked.error();
-  record_event(ControlEvent::Kind::Relink, linked.value().id,
-               compiled.value().front().name);
-  if (auto s = revoke_locked(old_id); !s.ok()) {
-    const Status undo = revoke_locked(linked.value().id);
-    assert(undo.ok());
-    (void)undo;
-    return s.error();
-  }
-  linked.value().trace = trace.trace_id();
-  return linked;
+  // Install the new version first (it stays invisible until its filters
+  // land, and the fresh filter generation outranks the old one), then
+  // retire the old version.
+  auto deployed = deploy_locked(compiled.value().front(), old_id);
+  if (!deployed.ok()) return deployed.error();
+  if (auto s = replace_locked(old_id, deployed.value(), ""); !s.ok()) return s.error();
+  deployed.value().result.trace = session.trace_id();
+  return std::move(deployed.value().result);
 }
 
-Status Controller::revoke(ProgramId id) {
-  std::unique_lock<std::mutex> lock(mu_);
-  if (!updates_.async()) {
-    obs::TraceScope trace(telemetry_);
-    LockHoldTimer hold(clock_, telemetry_);
-    return revoke_locked(id);
+Status Controller::replace_locked(ProgramId old_id, Deployed& deployed,
+                                  const std::string& detail) {
+  const InstalledProgram& old_program = hop_at(0).programs.at(old_id);
+  const std::string old_name = old_program.name;
+  // The new version stays attributed to the old version's tenant.
+  const TenantId tenant = old_program.tenant;
+  const ProgramId new_id = deployed.result.id;
+  int faulted_hop = -1;
+  if (auto s = remove_locked(old_id, &faulted_hop, nullptr); !s.ok()) {
+    // The old version was restored on every hop; unwind the new one so
+    // exactly the pre-relink truth remains.
+    deployed.txn->unwind_commit();
+    recycle_failed_id(new_id);
+    return fail_locked(ControlEvent::Kind::LinkFailed, new_id, deployed.result.name,
+                       faulted_hop, s.error());
   }
-
-  // Async revoke dance: submit the consistent remove under the lock, park
-  // off-lock while the writer drains it, settle under the lock again. The
-  // busy guard keeps relink/revoke sessions off this program while the
-  // writer owns its handle vectors.
-  const auto it = programs_.find(id);
-  if (it == programs_.end()) {
-    return Error{"no running program with id " + std::to_string(id), "Controller",
-                 ErrorCode::NotFound};
-  }
-  if (busy_ids_.count(id) != 0) {
-    return Error{"program " + std::to_string(id) +
-                     " already has a revoke in flight on the async channel",
-                 "Controller", ErrorCode::Conflict};
-  }
-  std::optional<obs::TraceScope> trace(std::in_place, telemetry_);
-  LockHoldTimer hold(clock_, telemetry_);
-
-  std::map<int, std::uint32_t> entries_per_rpb;
-  for (const auto& [rpb, handle] : it->second.rpb_handles) {
-    (void)handle;
-    ++entries_per_rpb[rpb];
-  }
-  // Tenant footprint, captured now: a successful remove clears the
-  // program's placement and handle vectors.
-  const TenantId tenant = it->second.tenant;
-  const std::uint64_t tenant_words = footprint_words(it->second);
-  const auto tenant_entries =
-      static_cast<std::uint64_t>(it->second.rpb_handles.size());
-
-  busy_ids_.insert(id);
-  auto revoke_span = telemetry_->tracer.span("revoke", "ctrl");
-  auto pending = updates_.submit_remove(it->second);
-  const obs::TraceContext ctx = telemetry_->active_trace;
-  revoke_span.end();  // shared state: close before the unlocked wait
-  trace.reset();
-  hold.pause();
-  lock.unlock();
-  pending.done.wait();
-  lock.lock();
-  hold.resume();
-  trace.emplace(telemetry_, ctx);
-
-  // The busy guard kept the program in the map while we were away.
-  InstalledProgram& program = programs_.find(id)->second;
-  const Status removed = updates_.finish_remove(pending, program);
-  busy_ids_.erase(id);
-  if (!removed.ok()) {
-    // The removal journal restored the program (fresh handles); it keeps
-    // running and keeps all its resources.
-    telemetry_->monitor.txn_rolled_back(id, program.name, removed.error().str());
-    record_event(ControlEvent::Kind::RevokeFailed, id, program.name,
-                 removed.error().str());
-    return removed.error();
-  }
-  for (const auto& [rpb, count] : entries_per_rpb) {
-    resources_.release_entries(rpb, count);
-  }
-  resources_.erase_program(id);
-  dataplane_.clear_claim_counter(id);
-  tenants_.release(tenant, tenant_words, tenant_entries);
-  record_event(ControlEvent::Kind::Revoke, id, program.name);
-  free_ids_.push_back(id);
-  programs_.erase(id);
+  adopt_locked(*deployed.txn, tenant, true);
+  // Each surface keeps the audit order it has always reported.
+  if (chain_ != nullptr) record_event(ControlEvent::Kind::Revoke, old_id, old_name);
+  record_event(ControlEvent::Kind::Relink, new_id, deployed.result.name, detail);
+  if (chain_ == nullptr) record_event(ControlEvent::Kind::Revoke, old_id, old_name);
   return {};
 }
 
-Status Controller::revoke_locked(ProgramId id) {
-  const auto it = programs_.find(id);
-  if (it == programs_.end()) {
+Status Controller::check_revocable(ProgramId id) const {
+  if (program_unlocked(id) == nullptr) {
     return Error{"no running program with id " + std::to_string(id), "Controller",
                  ErrorCode::NotFound};
   }
@@ -608,48 +700,65 @@ Status Controller::revoke_locked(ProgramId id) {
                      " has a revoke in flight on the async channel",
                  "Controller", ErrorCode::Conflict};
   }
-  auto revoke_span = telemetry_->tracer.span("revoke", "ctrl");
-  InstalledProgram& program = it->second;
+  return {};
+}
 
-  std::map<int, std::uint32_t> entries_per_rpb;
-  for (const auto& [rpb, handle] : program.rpb_handles) {
-    (void)handle;
-    ++entries_per_rpb[rpb];
+Status Controller::remove_locked(ProgramId id, int* faulted_hop, Session* session) {
+  // The hop copies stay in the maps until the removal settled.
+  std::vector<InstalledProgram*> programs;
+  programs.reserve(hops_.size());
+  for (auto& hop : hops_) programs.push_back(&hop->programs.at(id));
+  ChainRemoval removal(hop_contexts(), std::move(programs));
+  auto revoke_span = telemetry_->tracer.span(names_->revoke_span, "ctrl");
+  Status removed;
+  if (session != nullptr && pipelined()) {
+    // Async revoke dance: submit the consistent removes under the lock,
+    // park off-lock while the writers drain them, settle under the lock
+    // again. The busy guard keeps relink/revoke sessions off this program
+    // while the writers own its handle vectors.
+    busy_ids_.insert(id);
+    removal.submit();
+    revoke_span.end();  // shared state: closed before the unlocked wait
+    session->park([&] { removal.wait(); });
+    removed = removal.finish();
+    busy_ids_.erase(id);
+  } else {
+    removed = removal.remove();
   }
-  // Tenant footprint, captured now: a successful remove clears the
-  // program's placement and handle vectors.
-  const TenantId tenant = program.tenant;
-  const std::uint64_t tenant_words = footprint_words(program);
-  const auto tenant_entries =
-      static_cast<std::uint64_t>(program.rpb_handles.size());
-
-  if (auto s = updates_.remove(program); !s.ok()) {
-    // The removal journal restored the program (fresh handles); it keeps
-    // running and keeps all its resources.
-    telemetry_->monitor.txn_rolled_back(id, program.name, s.error().str());
-    record_event(ControlEvent::Kind::RevokeFailed, id, program.name,
-                 s.error().str());
-    return s.error();
+  if (!removed.ok()) {
+    *faulted_hop = removal.faulted_hop();
+    return removed;
   }
-
-  for (const auto& [rpb, count] : entries_per_rpb) {
-    resources_.release_entries(rpb, count);
-  }
-  resources_.erase_program(id);
-  dataplane_.clear_claim_counter(id);
-  tenants_.release(tenant, tenant_words, tenant_entries);
-  record_event(ControlEvent::Kind::Revoke, id, program.name);
+  const InstalledProgram& program = hop_at(0).programs.at(id);
+  tenants_.release(program.tenant, memory_demand(program.ir), entry_demand(program.ir));
+  for (auto& hop : hops_) hop->programs.erase(id);
   free_ids_.push_back(id);
-  programs_.erase(it);
+  return {};
+}
+
+Status Controller::revoke(ProgramId id) {
+  Session session(*this);
+  return revoke_locked(id, &session);
+}
+
+Status Controller::revoke_locked(ProgramId id, Session* session) {
+  if (auto s = check_revocable(id); !s.ok()) return s;
+  const std::string name = hop_at(0).programs.at(id).name;
+  int faulted_hop = -1;
+  if (auto s = remove_locked(id, &faulted_hop, session); !s.ok()) {
+    // The removal journals restored the program (fresh handles); it keeps
+    // running and keeps all its resources.
+    return fail_locked(ControlEvent::Kind::RevokeFailed, id, name, faulted_hop,
+                       s.error());
+  }
+  record_event(ControlEvent::Kind::Revoke, id, name);
   return {};
 }
 
 Status Controller::revoke_by_name(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  obs::TraceScope trace(telemetry_);
-  LockHoldTimer hold(clock_, telemetry_);
-  for (const auto& [id, program] : programs_) {
-    if (program.name == name) return revoke_locked(id);
+  Session session(*this);
+  if (const InstalledProgram* program = program_by_name_unlocked(name)) {
+    return revoke_locked(program->id);
   }
   return Error{"no running program named '" + name + "'", "Controller",
                ErrorCode::NotFound};
@@ -657,159 +766,195 @@ Status Controller::revoke_by_name(const std::string& name) {
 
 void Controller::set_async_writes(bool enabled) {
   std::lock_guard<std::mutex> lock(mu_);
-  updates_.set_async(enabled);
+  for (auto& hop : hops_) hop->updates.set_async(enabled);
 }
 
 bool Controller::async_writes() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return updates_.async();
+  return pipelined();
 }
 
+// --- queries -----------------------------------------------------------------
+
 const InstalledProgram* Controller::program_unlocked(ProgramId id) const {
-  const auto it = programs_.find(id);
-  return it == programs_.end() ? nullptr : &it->second;
+  const auto& programs = hop_at(0).programs;
+  const auto it = programs.find(id);
+  return it == programs.end() ? nullptr : &it->second;
 }
 
 const InstalledProgram* Controller::program_by_name_unlocked(
     const std::string& name) const {
-  for (const auto& [id, program] : programs_) {
+  for (const auto& [id, program] : hop_at(0).programs) {
     if (program.name == name) return &program;
   }
   return nullptr;
 }
 
+bool Controller::name_taken(const std::string& name, ProgramId replacing) const {
+  if (pending_names_.count(name) != 0) return true;
+  const InstalledProgram* existing = program_by_name_unlocked(name);
+  return existing != nullptr && existing->id != replacing;
+}
+
 const InstalledProgram* Controller::program(ProgramId id) const {
+  return program_at(0, id);
+}
+
+const InstalledProgram* Controller::program_at(int hop, ProgramId id) const {
   std::lock_guard<std::mutex> lock(mu_);
-  updates_.wait_idle();
-  return program_unlocked(id);
+  quiesce();
+  const auto& programs = hop_at(hop).programs;
+  const auto it = programs.find(id);
+  return it == programs.end() ? nullptr : &it->second;
 }
 
 const InstalledProgram* Controller::program_by_name(const std::string& name) const {
   std::lock_guard<std::mutex> lock(mu_);
-  updates_.wait_idle();
+  quiesce();
   return program_by_name_unlocked(name);
 }
 
 std::vector<ProgramId> Controller::running_programs() const {
   std::lock_guard<std::mutex> lock(mu_);
-  updates_.wait_idle();
+  quiesce();
   std::vector<ProgramId> ids;
-  ids.reserve(programs_.size());
-  for (const auto& [id, program] : programs_) ids.push_back(id);
+  ids.reserve(hop_at(0).programs.size());
+  for (const auto& [id, program] : hop_at(0).programs) ids.push_back(id);
   return ids;
 }
 
 std::size_t Controller::program_count() const {
   std::lock_guard<std::mutex> lock(mu_);
-  updates_.wait_idle();
-  return programs_.size();
+  quiesce();
+  return hop_at(0).programs.size();
 }
 
 std::deque<ControlEvent> Controller::events() const {
   std::lock_guard<std::mutex> lock(mu_);
-  updates_.wait_idle();
+  quiesce();
   return events_;
+}
+
+Result<int> Controller::owning_hop_unlocked(ProgramId id,
+                                            const std::string& vmem) const {
+  if (chain_ == nullptr) return 0;
+  const InstalledProgram* program = program_unlocked(id);
+  if (program == nullptr) {
+    return Error{"unknown program", "Controller", ErrorCode::NotFound};
+  }
+  const auto it = program->ir.vmem_depths.find(vmem);
+  if (it == program->ir.vmem_depths.end() || it->second.empty()) {
+    return Error{"unknown memory '" + vmem + "'", "Controller", ErrorCode::NotFound};
+  }
+  // Chain compatibility guarantees every access shares one round = one hop.
+  const int logical = program->alloc.x[static_cast<std::size_t>(it->second.front() - 1)];
+  return dp::recirc_round(logical, chain_->spec_at(0).total_rpbs());
+}
+
+Result<int> Controller::owning_hop(ProgramId id, const std::string& vmem) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  quiesce();
+  return owning_hop_unlocked(id, vmem);
 }
 
 Result<Word> Controller::read_memory(ProgramId id, const std::string& vmem,
                                      MemAddr vaddr) const {
   std::lock_guard<std::mutex> lock(mu_);
-  updates_.wait_idle();
-  return resources_.read_virtual(dataplane_, id, vmem, vaddr);
-}
-
-std::vector<rmt::Packet> Controller::drain_reports() {
-  std::lock_guard<std::mutex> lock(mu_);
-  updates_.wait_idle();
-  return dataplane_.pipeline().drain_cpu_queue();
-}
-
-std::uint64_t Controller::program_packets(ProgramId id) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  updates_.wait_idle();
-  return dataplane_.claimed_packets(id);
-}
-
-Result<std::vector<Word>> Controller::dump_memory(ProgramId id,
-                                                  const std::string& vmem) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  updates_.wait_idle();
-  const auto* placements = resources_.program_placements(id);
-  if (placements == nullptr) {
-    return Error{"unknown program", "Controller", ErrorCode::NotFound};
-  }
-  const auto it = placements->find(vmem);
-  if (it == placements->end()) {
-    return Error{"unknown memory '" + vmem + "'", "Controller", ErrorCode::NotFound};
-  }
-  std::vector<Word> out;
-  out.reserve(it->second.block.size);
-  const auto& memory = dataplane_.rpb(it->second.rpb).memory();
-  for (std::uint32_t a = 0; a < it->second.block.size; ++a) {
-    out.push_back(memory.read(it->second.block.base + a));
-  }
-  return out;
-}
-
-Result<rmt::HashAlgo> Controller::hash_algo_for(ProgramId id,
-                                                const std::string& vmem) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  updates_.wait_idle();
-  const InstalledProgram* prog = program_unlocked(id);
-  if (prog == nullptr) {
-    return Error{"unknown program", "Controller", ErrorCode::NotFound};
-  }
-  for (const auto& node : prog->ir.nodes) {
-    const bool hashes_mem = node.op.kind == dp::OpKind::Hash5TupleMem ||
-                            node.op.kind == dp::OpKind::HashHarMem;
-    if (!hashes_mem || node.op.vmem != vmem) continue;
-    const int logical = prog->alloc.x[static_cast<std::size_t>(node.depth - 1)];
-    const int phys = dp::physical_rpb(logical, dataplane_.spec().total_rpbs());
-    return dataplane_.rpb(phys).hash16_algo();
-  }
-  return Error{"program has no hash-addressed access to '" + vmem + "'",
-               "Controller", ErrorCode::NotFound};
+  quiesce();
+  auto hop = owning_hop_unlocked(id, vmem);
+  if (!hop.ok()) return hop.error();
+  const Hop& h = hop_at(hop.value());
+  return h.resources.read_virtual(h.dataplane, id, vmem, vaddr);
 }
 
 Status Controller::write_memory(ProgramId id, const std::string& vmem, MemAddr vaddr,
                                 Word value) {
   std::lock_guard<std::mutex> lock(mu_);
-  // Quiesce the async channel: the writer owns the dataplane while jobs are
-  // in flight, and a CPU-side memory write must not race its entry writes.
-  updates_.wait_idle();
-  return resources_.write_virtual(dataplane_, id, vmem, vaddr, value);
+  // Quiesce the async channels: the writers own the dataplanes while jobs
+  // are in flight, and a CPU-side memory write must not race their writes.
+  quiesce();
+  auto hop = owning_hop_unlocked(id, vmem);
+  if (!hop.ok()) return hop.error();
+  Hop& h = hop_at(hop.value());
+  return h.resources.write_virtual(h.dataplane, id, vmem, vaddr, value);
 }
 
-Result<DefragReport> Controller::defragment(DefragOptions options) {
+Result<std::vector<Word>> Controller::dump_memory(ProgramId id,
+                                                  const std::string& vmem) const {
   std::lock_guard<std::mutex> lock(mu_);
-  obs::TraceScope trace(telemetry_);
-  LockHoldTimer hold(clock_, telemetry_);
+  quiesce();
+  auto hop = owning_hop_unlocked(id, vmem);
+  if (!hop.ok()) return hop.error();
+  const Hop& h = hop_at(hop.value());
+  return h.resources.dump_virtual(h.dataplane, id, vmem);
+}
+
+Result<rmt::HashAlgo> Controller::hash_algo_for(ProgramId id,
+                                                const std::string& vmem) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  quiesce();
+  const InstalledProgram* prog = program_unlocked(id);
+  if (prog == nullptr) {
+    return Error{"unknown program", "Controller", ErrorCode::NotFound};
+  }
+  const dp::RunproDataplane& dataplane = hop_at(0).dataplane;
+  for (const auto& node : prog->ir.nodes) {
+    const bool hashes_mem = node.op.kind == dp::OpKind::Hash5TupleMem ||
+                            node.op.kind == dp::OpKind::HashHarMem;
+    if (!hashes_mem || node.op.vmem != vmem) continue;
+    const int logical = prog->alloc.x[static_cast<std::size_t>(node.depth - 1)];
+    const int phys = dp::physical_rpb(logical, dataplane.spec().total_rpbs());
+    return dataplane.rpb(phys).hash16_algo();
+  }
+  return Error{"program has no hash-addressed access to '" + vmem + "'",
+               "Controller", ErrorCode::NotFound};
+}
+
+std::vector<rmt::Packet> Controller::drain_reports() {
+  std::lock_guard<std::mutex> lock(mu_);
+  quiesce();
+  return hop_at(0).dataplane.pipeline().drain_cpu_queue();
+}
+
+std::uint64_t Controller::program_packets(ProgramId id) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  quiesce();
+  // Hop 0 sees every packet; later chain hops only the recirculated rounds.
+  return hop_at(0).dataplane.claimed_packets(id);
+}
+
+// --- defragmentation ---------------------------------------------------------
+
+Result<DefragReport> Controller::defragment(DefragOptions options) {
+  Session session(*this);
   return defragment_locked(options);
 }
 
 DefragReport Controller::defragment_locked(const DefragOptions& options) {
   auto defrag_span = telemetry_->tracer.span("defrag", "ctrl");
-  // Quiesce the channel: a move revokes the old copy, and the writer must
+  // Quiesce the channels: a move revokes the old copy, and the writers must
   // not own any handle vectors while we walk the program table. Moves
-  // themselves commit inline *through* the writer in async mode.
-  updates_.wait_idle();
-  updates_.set_maintenance(true);
+  // themselves commit inline *through* the writers in async mode.
+  quiesce();
+  for (auto& hop : hops_) hop->updates.set_maintenance(true);
 
+  // Hops evolve in lockstep, so hop 0's books decide every move.
+  const ResourceManager& resources = hop_at(0).resources;
   DefragReport report;
-  report.frag_start = resources_.total_fragmentation_words();
+  report.frag_start = resources.total_fragmentation_words();
   std::set<ProgramId> skip;  // programs whose move failed this pass
   while (static_cast<int>(report.moves.size()) < options.max_moves) {
-    const std::uint64_t frag_now = resources_.total_fragmentation_words();
+    const std::uint64_t frag_now = resources.total_fragmentation_words();
     if (frag_now < options.min_gain_words) break;
 
     // Pick the move with the best *simulated* gain. Simulation replays the
     // exact reserve/release walk the transaction will take, so "gain" here
     // is what the metric will actually do — the monotonicity guarantee is
     // decided before any state changes.
-    const auto snap = resources_.snapshot();
+    const auto snap = resources.snapshot();
     ProgramId best_id = 0;
     std::uint64_t best_after = frag_now;
-    for (const auto& [id, program] : programs_) {
+    for (const auto& [id, program] : hop_at(0).programs) {
       if (busy_ids_.count(id) != 0 || skip.count(id) != 0) continue;
       if (program.placements.empty()) continue;
       std::uint64_t after = 0;
@@ -829,13 +974,13 @@ DefragReport Controller::defragment_locked(const DefragOptions& options) {
       skip.insert(best_id);
       continue;
     }
-    const std::uint64_t frag_after = resources_.total_fragmentation_words();
+    const std::uint64_t frag_after = resources.total_fragmentation_words();
     assert(frag_after == best_after && "defrag move diverged from simulation");
 
     DefragMove move;
     move.old_id = best_id;
     move.new_id = moved.value();
-    move.name = programs_.at(moved.value()).name;
+    move.name = hop_at(0).programs.at(moved.value()).name;
     move.frag_before = frag_now;
     move.frag_after = frag_after;
     telemetry_->monitor.defrag_moved(best_id, moved.value(), move.name, frag_now,
@@ -846,8 +991,8 @@ DefragReport Controller::defragment_locked(const DefragOptions& options) {
     report.moves.push_back(std::move(move));
   }
 
-  updates_.set_maintenance(false);
-  report.frag_end = resources_.total_fragmentation_words();
+  for (auto& hop : hops_) hop->updates.set_maintenance(false);
+  report.frag_end = resources.total_fragmentation_words();
   telemetry_->metrics.counter("ctrl.defrag.passes").inc();
   defrag_span.arg("moves", static_cast<std::uint64_t>(report.moves.size()));
   defrag_span.arg("reclaimed_words", report.frag_start - report.frag_end);
@@ -855,50 +1000,22 @@ DefragReport Controller::defragment_locked(const DefragOptions& options) {
 }
 
 Result<ProgramId> Controller::compact_program_locked(ProgramId old_id) {
-  const InstalledProgram& old_program = programs_.at(old_id);
   // Local copies: the transaction holds the IR by reference for its whole
-  // lifetime, and revoking the old copy erases its map node mid-function.
-  const rp::TranslatedProgram ir = old_program.ir;
-  rp::AllocationResult alloc = old_program.alloc;
-  const TenantId tenant = old_program.tenant;
+  // lifetime, and retiring the old copy erases its records mid-function.
+  const rp::TranslatedProgram ir = hop_at(0).programs.at(old_id).ir;
+  std::vector<rp::AllocationResult> allocs;
+  allocs.reserve(hops_.size());
+  for (const auto& hop : hops_) allocs.push_back(hop->programs.at(old_id).alloc);
 
-  // Same pinned stages (the stored alloc), fresh first-fit placements;
+  // Same pinned stages (the stored allocs), fresh first-fit placements;
   // replacing=old_id carries the old copy's memory bytes into the new
   // blocks inside the same transaction, so program state survives the move.
-  const ProgramId new_id = next_program_id();
-  DeployTransaction txn(
-      DeployContext{dataplane_, resources_, updates_, telemetry_}, ir,
-      std::move(alloc), new_id, ++filter_generation_, old_id);
-  if (auto s = txn.reserve(); !s.ok()) {
-    recycle_failed_id(new_id);
-    telemetry_->monitor.txn_rolled_back(new_id, ir.name, s.error().str());
+  auto deployed = commit_locked(ir, std::move(allocs), old_id, 0.0);
+  if (!deployed.ok()) return deployed.error();
+  if (auto s = replace_locked(old_id, deployed.value(), "defrag move"); !s.ok()) {
     return s.error();
   }
-  txn.plan_entries();
-  txn.stage();
-  auto installed = txn.commit();
-  if (!installed.ok()) {
-    recycle_failed_id(new_id);
-    telemetry_->monitor.txn_rolled_back(new_id, ir.name, installed.error().str());
-    record_event(ControlEvent::Kind::LinkFailed, new_id, ir.name,
-                 installed.error().str());
-    return installed.error();
-  }
-  telemetry_->monitor.txn_committed(new_id, ir.name);
-  InstalledProgram program = std::move(installed).take();
-  program.tenant = tenant;
-  tenants_.charge(tenant, memory_demand(ir), entry_demand(ir));
-  programs_.emplace(new_id, std::move(program));
-  record_event(ControlEvent::Kind::Relink, new_id, ir.name, "defrag move");
-
-  if (auto s = revoke_locked(old_id); !s.ok()) {
-    // Old copy rolled back into service; retire the new copy instead.
-    const Status undo = revoke_locked(new_id);
-    assert(undo.ok());
-    (void)undo;
-    return s.error();
-  }
-  return new_id;
+  return deployed.value().result.id;
 }
 
 void Controller::set_auto_defrag(bool enabled) {

@@ -2,6 +2,15 @@
 // Drives the full link pipeline (parse -> check -> translate -> allocate ->
 // generate entries -> consistent update) and program lifecycle
 // (monitor / revoke), mirroring the prototype's runtime CLI (paper §5).
+//
+// One session core over a list of hops (one switch's dataplane, resource
+// manager, update engine and installed programs each) with a single id
+// pool, audit log, admission / tenant state and session lock; every link,
+// relink, revoke and defrag move runs as a ctrl::ChainTransaction /
+// ctrl::ChainRemoval over all hops. A single switch is the 1-hop list the
+// public constructor builds; only a core built over a dp::SwitchChain
+// (ctrl::ChainController) runs the mirror checks, labels hops and reports
+// under the chain names.
 #pragma once
 
 #include <deque>
@@ -20,11 +29,13 @@
 #include "compiler/compiler.h"
 #include "compiler/solver.h"
 #include "control/admission.h"
+#include "control/chain_txn.h"
 #include "control/defrag.h"
 #include "control/resource_manager.h"
 #include "control/tenant.h"
 #include "control/update_engine.h"
 #include "dataplane/runpro_dataplane.h"
+#include "dataplane/switch_chain.h"
 
 namespace p4runpro::obs {
 struct Telemetry;
@@ -85,6 +96,10 @@ struct SessionSpec {
   std::string source;
   TenantId tenant = 0;
 };
+
+/// Span and counter names of one surface (single switch or chain), picked
+/// by the constructor (defined in controller.cpp).
+struct SessionNames;
 
 class Controller {
  public:
@@ -187,9 +202,13 @@ class Controller {
   /// safe to iterate while sessions keep appending.
   [[nodiscard]] std::deque<ControlEvent> events() const;
 
-  [[nodiscard]] ResourceManager& resources() noexcept { return resources_; }
-  [[nodiscard]] UpdateEngine& updates() noexcept { return updates_; }
-  [[nodiscard]] const ResourceManager& resources() const noexcept { return resources_; }
+  /// Hop 0's resource manager and update engine (the switch itself on a
+  /// single switch).
+  [[nodiscard]] ResourceManager& resources() noexcept { return hop_at(0).resources; }
+  [[nodiscard]] UpdateEngine& updates() noexcept { return hop_at(0).updates; }
+  [[nodiscard]] const ResourceManager& resources() const noexcept {
+    return hop_at(0).resources;
+  }
   [[nodiscard]] rp::Objective objective() const noexcept { return objective_; }
   void set_objective(rp::Objective objective) noexcept { objective_ = objective; }
 
@@ -244,33 +263,115 @@ class Controller {
 
   ~Controller();
 
+ protected:
+  /// Chain core: one hop per switch of `chain` (see ctrl::ChainController).
+  Controller(dp::SwitchChain& chain, SimClock& clock, rp::Objective objective,
+             BfrtCostModel cost, obs::Telemetry* telemetry);
+
+  /// Link a source unit as one session; `single_program` rejects units of
+  /// more than one program before anything is deployed.
+  Result<std::vector<LinkResult>> link_unit(std::string_view source,
+                                            bool single_program);
+
+  // --- per-hop access (exposed by ctrl::ChainController) -----------------
+  [[nodiscard]] int hop_count() const noexcept { return static_cast<int>(hops_.size()); }
+  /// Hop `hop`'s copy of program `id` (locked query, same caveats as
+  /// program()).
+  [[nodiscard]] const InstalledProgram* program_at(int hop, ProgramId id) const;
+  /// The hop whose switch physically holds `vmem` of program `id`: the
+  /// chain hop of the (single, chain-compatibility-guaranteed) round that
+  /// accesses it; always 0 on a single switch.
+  [[nodiscard]] Result<int> owning_hop(ProgramId id, const std::string& vmem) const;
+  /// Unlocked test-harness access (fault injection arms exactly one hop's
+  /// engine) — do not call while sessions run on other threads.
+  [[nodiscard]] ResourceManager& resources(int hop) { return hop_at(hop).resources; }
+  [[nodiscard]] const ResourceManager& resources(int hop) const {
+    return hop_at(hop).resources;
+  }
+  [[nodiscard]] UpdateEngine& updates(int hop) { return hop_at(hop).updates; }
+
  private:
+  /// One switch's control-plane state (held by unique_ptr: the engine
+  /// references the resource manager).
+  struct Hop {
+    dp::RunproDataplane& dataplane;
+    ResourceManager resources;
+    UpdateEngine updates;
+    std::map<ProgramId, InstalledProgram> programs;
+
+    Hop(dp::RunproDataplane& dp, SimClock& clock, BfrtCostModel cost)
+        : dataplane(dp), resources(dp.spec()), updates(dp, resources, clock, cost) {}
+  };
+  /// A committed deploy not yet adopted into the hop maps (relink can still
+  /// unwind_commit() it if retiring the old version faults).
+  struct Deployed {
+    LinkResult result;
+    std::unique_ptr<ChainTransaction> txn;
+  };
+  /// One locked control operation (defined in controller.cpp).
+  class Session;
+
+  Controller(dp::SwitchChain* chain, std::vector<dp::RunproDataplane*> switches,
+             SimClock& clock, rp::Objective objective, BfrtCostModel cost,
+             obs::Telemetry* telemetry);
+
   // Locking discipline (docs/ARCHITECTURE.md "Async control channel"): all
-  // mutations of controller/resource/clock/telemetry state happen under
-  // mu_. Public mutators take the lock and delegate to the *_locked
-  // internals; link_many workers do their pure compute (compile, solve)
-  // off-lock against snapshots and re-enter mu_ for reserve+commit. Const
-  // queries take mu_ and quiesce the async channel before reading (use the
+  // mutations of controller/hop/clock/telemetry state happen under mu_.
+  // Public mutators take the lock and delegate to the *_locked internals;
+  // link_many workers do their pure compute (compile, solve) off-lock
+  // against snapshots and re-enter mu_ for reserve+commit. Const queries
+  // take mu_ and quiesce every hop's async channel before reading (use the
   // *_unlocked internals from code already holding mu_ — the public
-  // versions would self-deadlock). Dataplane writes are serialized by the
-  // engine: on the caller's thread under mu_ in serial mode, on the single
-  // writer thread in async mode (the writer never takes mu_, which is why
+  // versions would self-deadlock). Dataplane writes are serialized per hop
+  // by its engine: on the caller's thread under mu_ in serial mode, on the
+  // hop's writer thread in async mode (writers never take mu_, which is why
   // quiescing under mu_ is deadlock-free). Async sessions that release mu_
   // mid-commit leave a guard behind — pending_names_ for an in-flight
   // install, busy_ids_ for an in-flight revoke — so concurrent sessions
-  // can't double-book a name or mutate a program the writer still owns.
-  Result<std::vector<LinkResult>> link_locked(std::string_view source);
-  Result<LinkResult> link_one_locked(const rp::TranslatedProgram& ir,
-                                     ProgramId replacing = 0,
-                                     TenantId tenant = 0);
+  // can't double-book a name or mutate a program the writers still own.
   /// Admitted session body: everything after the admission grant (quota
   /// gate, off-lock solve, locked reserve+commit, retry loop). The caller
   /// (link_session) owns the grant and releases it afterwards.
   Result<LinkResult> link_session_admitted(const rp::TranslatedProgram& ir,
                                            TenantId tenant,
                                            ParallelLinkOptions options);
-  Status revoke_locked(ProgramId id);
-  /// One defrag pass under mu_ (channel quiesced by the caller).
+  /// Name check + solve + commit on every hop; audits failures, adopts
+  /// nothing.
+  Result<Deployed> deploy_locked(const rp::TranslatedProgram& ir,
+                                 ProgramId replacing);
+  /// Stage and commit `ir` at `allocs` under a fresh id. A link_many
+  /// `session` parks off-lock while async writes drain (other callers
+  /// settle inline through the writers); with `may_retry` a reservation
+  /// AllocFailed returns unaudited for the caller to re-solve.
+  Result<Deployed> commit_locked(const rp::TranslatedProgram& ir,
+                                 std::vector<rp::AllocationResult> allocs,
+                                 ProgramId replacing, double alloc_ms,
+                                 Session* session = nullptr, bool may_retry = false);
+  /// One solve per hop: inline on a single hop, on solve_pool_ otherwise.
+  Result<std::vector<rp::AllocationResult>> solve_hops(
+      const rp::TranslatedProgram& ir,
+      std::vector<ResourceManager::Snapshot> snapshots,
+      obs::Telemetry* telemetry) const;
+  /// Chains only: the per-hop allocations agree (occupancies evolve in
+  /// lockstep), every vmem sits in one round and the rounds fit the chain.
+  [[nodiscard]] Status check_mirror(const rp::TranslatedProgram& ir,
+                                    const std::vector<rp::AllocationResult>& allocs) const;
+  /// Move a committed transaction's programs into the hop maps; `charge`
+  /// bills `tenant` (sessions were billed at admission).
+  void adopt_locked(ChainTransaction& txn, TenantId tenant, bool charge);
+  /// Retire `old_id` for the committed `deployed` (relink, defrag move); on
+  /// a retire fault unwind the new version instead.
+  Status replace_locked(ProgramId old_id, Deployed& deployed,
+                        const std::string& detail);
+  /// Revoke under the lock; with `session`, an async revoke parks
+  /// off-lock while the writers drain the removes.
+  Status revoke_locked(ProgramId id, Session* session = nullptr);
+  /// NotFound / in-flight Conflict for a program about to be removed.
+  [[nodiscard]] Status check_revocable(ProgramId id) const;
+  /// Remove `id` from every hop, then drop its records, tenant charge and
+  /// id (no audit). On a fault the program keeps running everywhere and
+  /// `faulted_hop` names the hop whose write failed.
+  Status remove_locked(ProgramId id, int* faulted_hop, Session* session);
   DefragReport defragment_locked(const DefragOptions& options);
   /// Migrate one program: commit a copy at its stored allocation
   /// (replacing = old id, memory carried over), then retire the old copy.
@@ -278,6 +379,19 @@ class Controller {
   [[nodiscard]] const InstalledProgram* program_unlocked(ProgramId id) const;
   [[nodiscard]] const InstalledProgram* program_by_name_unlocked(
       const std::string& name) const;
+  [[nodiscard]] bool name_taken(const std::string& name, ProgramId replacing) const;
+  [[nodiscard]] Result<int> owning_hop_unlocked(ProgramId id,
+                                                const std::string& vmem) const;
+  [[nodiscard]] Hop& hop_at(int hop) { return *hops_[static_cast<std::size_t>(hop)]; }
+  [[nodiscard]] const Hop& hop_at(int hop) const {
+    return *hops_[static_cast<std::size_t>(hop)];
+  }
+  [[nodiscard]] std::vector<ChainHop> hop_contexts();
+  [[nodiscard]] std::vector<ResourceManager::Snapshot> snapshots_locked() const;
+  /// Every hop's engine async (the pipelined / parking paths).
+  [[nodiscard]] bool pipelined() const;
+  /// Drain every hop's async channel (caller holds mu_).
+  void quiesce() const;
   [[nodiscard]] ProgramId next_program_id();
   /// Return the id of a rolled-back deploy: the freshest id un-allocates
   /// (next_id_ decrements), an id drawn from the recycle pool goes back to
@@ -285,26 +399,30 @@ class Controller {
   /// successful revoke does — so ids of programs that never ran can't leak
   /// into the pool and alias monitor history.
   void recycle_failed_id(ProgramId id);
+  void record_event(ControlEvent::Kind kind, ProgramId id, const std::string& name,
+                    const std::string& detail = "");
+  /// Audit a failure: the monitor's (chain) transaction rollback once an id
+  /// was assigned, plus a `kind` event carrying the error.
+  Error fail_locked(ControlEvent::Kind kind, ProgramId id, const std::string& name,
+                    int faulted_hop, const Error& err);
+  void note_commit(ProgramId id, const std::string& name);
   void record_link_histograms(const LinkResult& result);
 
-  dp::RunproDataplane& dataplane_;
+  dp::SwitchChain* chain_;  ///< null for a single switch: no mirror checks
+  const SessionNames* names_;  ///< this surface's span and counter names
   SimClock& clock_;
   rp::Objective objective_;
   obs::Telemetry* telemetry_;
   std::optional<double> fixed_alloc_charge_ms_;
-  ResourceManager resources_;
-  UpdateEngine updates_;
-  void record_event(ControlEvent::Kind kind, ProgramId id, const std::string& name,
-                    const std::string& detail = "");
+  std::vector<std::unique_ptr<Hop>> hops_;
+  std::unique_ptr<common::ThreadPool> solve_pool_;  ///< chains only
 
   mutable std::mutex mu_;  ///< session lock (see locking discipline above)
   std::deque<ControlEvent> events_;
-  std::map<ProgramId, InstalledProgram> programs_;
-  /// Names of installs submitted to the async channel whose session released
-  /// mu_ before settling — name-conflict checks treat them as running.
+  /// Installs parked on the async channels (name checks treat them as
+  /// running) and programs with a parked revoke (their handles belong to
+  /// the writers until settled).
   std::set<std::string> pending_names_;
-  /// Programs with an async revoke in flight: the writer owns their handle
-  /// vectors, so relink/revoke of these ids conflicts until settled.
   std::set<ProgramId> busy_ids_;
   ProgramId next_id_ = 1;
   std::vector<ProgramId> free_ids_;  ///< fed only by successful revokes

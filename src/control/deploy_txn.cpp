@@ -98,14 +98,8 @@ void DeployTransaction::stage() {
       for (const auto& [vmem, placement] : placements_) {
         const auto old_it = old_placements->find(vmem);
         if (old_it == old_placements->end()) continue;
-        const std::uint32_t count =
-            std::min(placement.block.size, old_it->second.block.size);
-        const auto& old_mem = ctx_.dataplane.rpb(old_it->second.rpb).memory();
-        std::vector<Word> words;
-        words.reserve(count);
-        for (std::uint32_t a = 0; a < count; ++a) {
-          words.push_back(old_mem.read(old_it->second.block.base + a));
-        }
+        std::vector<Word> words = read_block(ctx_.dataplane, old_it->second);
+        words.resize(std::min(placement.block.size, old_it->second.block.size));
         batch_.write_mem_range(placement.rpb, placement.block.base,
                                std::move(words), vmem);
       }

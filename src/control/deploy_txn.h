@@ -120,12 +120,9 @@ class DeployTransaction {
   /// Release reservations (idempotent; no-op once Committed).
   void rollback();
 
-  [[nodiscard]] Phase phase() const noexcept { return phase_; }
-  [[nodiscard]] ProgramId id() const noexcept { return id_; }
   [[nodiscard]] const std::map<std::string, VmemPlacement>& placements() const noexcept {
     return placements_;
   }
-  [[nodiscard]] const rp::EntryPlan& plan() const noexcept { return plan_; }
   [[nodiscard]] const dp::WriteBatch& staged_batch() const noexcept { return batch_; }
 
  private:

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <sstream>
+#include <string>
 
 #include "obs/telemetry.h"
 
@@ -19,6 +20,25 @@ namespace {
     std::snprintf(buf, sizeof buf, "0x%x/0x%x", key.value, key.mask);
   }
   return buf;
+}
+
+/// One event-tail row for the control-side kinds (transaction outcomes,
+/// admission sheds, defrag moves), labelled by the kind's event token.
+[[nodiscard]] std::string transaction_row(const obs::MonitorEvent& e) {
+  char head[160];
+  std::snprintf(head, sizeof head, "  [%8.3f ms] %-7s %u '%s'", e.t_ms,
+                std::string(obs::event_kind_name(e.kind)).c_str(),
+                static_cast<unsigned>(e.program), e.program_name.c_str());
+  std::string row = head;
+  if (e.kind == obs::MonitorEvent::Kind::AdmissionShed) {
+    row += " tenant " + std::to_string(e.tenant);
+  }
+  if (e.hops > 0) row += " hops " + std::to_string(e.hops);
+  if (e.faulted_hop >= 0) row += " faulted hop " + std::to_string(e.faulted_hop);
+  if (e.old_program != 0) row += " from " + std::to_string(e.old_program);
+  if (e.gain != 0) row += " reclaimed " + std::to_string(e.gain) + " words";
+  if (!e.detail.empty()) row += ": " + e.detail;
+  return row + "\n";
 }
 
 }  // namespace
@@ -213,6 +233,14 @@ std::string health_report(const obs::Telemetry& telemetry, std::size_t event_tai
                           e.program_name.c_str(), e.value, e.threshold);
           }
           break;
+        case obs::MonitorEvent::Kind::TxnCommit:
+        case obs::MonitorEvent::Kind::TxnRollback:
+        case obs::MonitorEvent::Kind::ChainTxnCommit:
+        case obs::MonitorEvent::Kind::ChainTxnRollback:
+        case obs::MonitorEvent::Kind::AdmissionShed:
+        case obs::MonitorEvent::Kind::DefragMove:
+          out << transaction_row(e);
+          continue;
       }
       out << line;
     }

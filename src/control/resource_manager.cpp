@@ -254,9 +254,8 @@ const std::map<std::string, VmemPlacement>* ResourceManager::program_placements(
   return it == programs_.end() ? nullptr : &it->second;
 }
 
-Result<Word> ResourceManager::read_virtual(const dp::RunproDataplane& dataplane,
-                                           ProgramId id, const std::string& vmem,
-                                           MemAddr vaddr) const {
+Result<VmemPlacement> ResourceManager::locate(ProgramId id, const std::string& vmem,
+                                              std::optional<MemAddr> vaddr) const {
   const auto* placements = program_placements(id);
   if (placements == nullptr) {
     return Error{"unknown program", "ResourceManager", ErrorCode::NotFound};
@@ -266,41 +265,57 @@ Result<Word> ResourceManager::read_virtual(const dp::RunproDataplane& dataplane,
     return Error{"unknown memory '" + vmem + "'", "ResourceManager",
                  ErrorCode::NotFound};
   }
-  if (vaddr >= it->second.block.size) {
+  if (vaddr && *vaddr >= it->second.block.size) {
     return Error{"virtual address out of range", "ResourceManager",
                  ErrorCode::OutOfRange};
   }
-  return dataplane.rpb(it->second.rpb).memory().read(it->second.block.base + vaddr);
+  return it->second;
+}
+
+Result<Word> ResourceManager::read_virtual(const dp::RunproDataplane& dataplane,
+                                           ProgramId id, const std::string& vmem,
+                                           MemAddr vaddr) const {
+  auto placement = locate(id, vmem, vaddr);
+  if (!placement.ok()) return placement.error();
+  return dataplane.rpb(placement.value().rpb).memory().read(placement.value().block.base +
+                                                             vaddr);
 }
 
 Status ResourceManager::write_virtual(dp::RunproDataplane& dataplane, ProgramId id,
                                       const std::string& vmem, MemAddr vaddr,
                                       Word value) const {
-  const auto* placements = program_placements(id);
-  if (placements == nullptr) {
-    return Error{"unknown program", "ResourceManager", ErrorCode::NotFound};
-  }
-  const auto it = placements->find(vmem);
-  if (it == placements->end()) {
-    return Error{"unknown memory '" + vmem + "'", "ResourceManager",
-                 ErrorCode::NotFound};
-  }
-  if (vaddr >= it->second.block.size) {
-    return Error{"virtual address out of range", "ResourceManager",
-                 ErrorCode::OutOfRange};
-  }
+  auto placement = locate(id, vmem, vaddr);
+  if (!placement.ok()) return placement.error();
   // Through apply(), like every control memory write: the word lands in
   // the master RPB memory and in every shard pipe's copy.
   dp::WriteOp op;
   op.kind = dp::WriteOp::Kind::WriteMemRange;
-  op.mem_rpb = it->second.rpb;
-  op.mem_base = it->second.block.base + vaddr;
+  op.mem_rpb = placement.value().rpb;
+  op.mem_base = placement.value().block.base + vaddr;
   op.mem_size = 1;
   op.mem_words = {value};
   op.vmem = vmem;
   auto applied = dataplane.apply(op);
   if (!applied.ok()) return applied.error();
   return {};
+}
+
+Result<std::vector<Word>> ResourceManager::dump_virtual(
+    const dp::RunproDataplane& dataplane, ProgramId id, const std::string& vmem) const {
+  auto placement = locate(id, vmem, std::nullopt);
+  if (!placement.ok()) return placement.error();
+  return read_block(dataplane, placement.value());
+}
+
+std::vector<Word> read_block(const dp::RunproDataplane& dataplane,
+                             const VmemPlacement& placement) {
+  std::vector<Word> words;
+  words.reserve(placement.block.size);
+  const auto& memory = dataplane.rpb(placement.rpb).memory();
+  for (std::uint32_t a = 0; a < placement.block.size; ++a) {
+    words.push_back(memory.read(placement.block.base + a));
+  }
+  return words;
 }
 
 std::uint32_t ResourceManager::entries_used(int rpb) const {

@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <list>
 #include <map>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -38,6 +39,10 @@ struct VmemPlacement {
 
   friend bool operator==(const VmemPlacement&, const VmemPlacement&) = default;
 };
+
+/// The current contents of a placed block, read from the master pipe.
+[[nodiscard]] std::vector<Word> read_block(const dp::RunproDataplane& dataplane,
+                                           const VmemPlacement& placement);
 
 class ResourceManager {
  public:
@@ -86,14 +91,18 @@ class ResourceManager {
       ProgramId id) const;
 
   /// Control-plane memory access with virtual->physical translation
-  /// (paper §3.2): read/write bucket `vaddr` of `vmem` of program `id`.
-  /// Reads come from the master pipe; writes reach every pipe (the master
-  /// and each shard's register memory), as RunproDataplane::apply does.
+  /// (paper §3.2): read/write bucket `vaddr` of `vmem` of program `id`, or
+  /// dump the whole block (the memory-monitoring path, §3.1). Reads come
+  /// from the master pipe; writes reach every pipe (the master and each
+  /// shard's register memory), as RunproDataplane::apply does.
   [[nodiscard]] Result<Word> read_virtual(const dp::RunproDataplane& dataplane,
                                           ProgramId id, const std::string& vmem,
                                           MemAddr vaddr) const;
   Status write_virtual(dp::RunproDataplane& dataplane, ProgramId id,
                        const std::string& vmem, MemAddr vaddr, Word value) const;
+  [[nodiscard]] Result<std::vector<Word>> dump_virtual(
+      const dp::RunproDataplane& dataplane, ProgramId id,
+      const std::string& vmem) const;
 
   // --- utilization metrics (Fig. 8 / 18 / 19) ----------------------------
 
@@ -126,6 +135,10 @@ class ResourceManager {
   ResourceManager& operator=(const ResourceManager&) = delete;
 
  private:
+  /// The placement of `vmem` of program `id`, with `vaddr` (when given)
+  /// inside its block; NotFound / OutOfRange otherwise.
+  [[nodiscard]] Result<VmemPlacement> locate(ProgramId id, const std::string& vmem,
+                                             std::optional<MemAddr> vaddr) const;
   [[nodiscard]] std::list<MemBlock>& free_list(int rpb);
   [[nodiscard]] const std::list<MemBlock>& free_list(int rpb) const;
   void insert_coalesced(std::list<MemBlock>& list, MemBlock block);

@@ -35,6 +35,8 @@ namespace {
     case obs::MonitorEvent::Kind::TxnRollback: return "txn rollback";
     case obs::MonitorEvent::Kind::ChainTxnCommit: return "chain txn commit";
     case obs::MonitorEvent::Kind::ChainTxnRollback: return "chain txn rollback";
+    case obs::MonitorEvent::Kind::AdmissionShed: return "admission shed";
+    case obs::MonitorEvent::Kind::DefragMove: return "defrag move";
   }
   return "?";
 }

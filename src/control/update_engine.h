@@ -220,8 +220,8 @@ class UpdateEngine {
   void set_maintenance(bool on) noexcept { maintenance_ = on; }
   [[nodiscard]] bool maintenance() const noexcept { return maintenance_; }
 
-  /// Chain-hop label for this engine's write spans: ChainController tags
-  /// each hop's engine with its index so "bfrt.batch" spans (and trace
+  /// Chain-hop label for this engine's write spans: a controller built over
+  /// a SwitchChain tags each hop's engine with its index so "bfrt.batch" spans (and trace
   /// reports built from them) say which switch the write landed on. -1 (the
   /// default, single-switch) omits the tag.
   void set_hop_label(int hop) noexcept { hop_label_ = hop; }

@@ -62,6 +62,16 @@ class FlightRecorder {
     const std::uint64_t n = seen_++;
     return sample_every_ != 0 && !frozen_ && n % sample_every_ == 0;
   }
+  /// How many upcoming want_sample() calls will return false: the distance
+  /// to the next turn in the rotation, or "never" (UINT64_MAX) while
+  /// sampling is off or the ring is frozen.
+  [[nodiscard]] std::uint64_t sample_gap() const noexcept {
+    if (sample_every_ == 0 || frozen_) return UINT64_MAX;
+    const std::uint64_t phase = seen_ % sample_every_;
+    return phase == 0 ? 0 : sample_every_ - phase;
+  }
+  /// Count `n` packets that ran without a want_sample() call.
+  void skip(std::uint64_t n) noexcept { seen_ += n; }
 
   /// Append a journey, evicting the oldest once the ring is full. Ignored
   /// while frozen.

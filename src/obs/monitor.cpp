@@ -8,9 +8,7 @@
 
 namespace p4runpro::obs {
 
-namespace {
-
-[[nodiscard]] std::string_view event_kind_name(MonitorEvent::Kind kind) noexcept {
+std::string_view event_kind_name(MonitorEvent::Kind kind) noexcept {
   switch (kind) {
     case MonitorEvent::Kind::Deploy: return "deploy";
     case MonitorEvent::Kind::Revoke: return "revoke";
@@ -24,8 +22,6 @@ namespace {
   }
   return "?";
 }
-
-}  // namespace
 
 std::string_view alert_kind_name(AlertKind kind) noexcept {
   switch (kind) {

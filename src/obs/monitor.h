@@ -152,6 +152,10 @@ struct MonitorEvent {
   std::uint64_t gain = 0;    ///< defrag moves: fragmentation words reclaimed
 };
 
+/// The lowercase token of an event kind ("deploy", "txn_commit", ...), as
+/// used in the JSONL event dump and the health dashboard.
+[[nodiscard]] std::string_view event_kind_name(MonitorEvent::Kind kind) noexcept;
+
 /// Lifetime per-program attribution counters.
 struct ProgramHealth {
   std::string name;
@@ -256,6 +260,12 @@ class ProgramHealthMonitor final : public rmt::PacketObserver {
   // --- rmt::PacketObserver ------------------------------------------------
   [[nodiscard]] bool sample_packet() override {
     return flight_ != nullptr && flight_->want_sample();
+  }
+  [[nodiscard]] std::uint64_t sample_gap() override {
+    return flight_ != nullptr ? flight_->sample_gap() : UINT64_MAX;
+  }
+  void skip_samples(std::uint64_t n) override {
+    if (flight_ != nullptr) flight_->skip(n);
   }
   void on_packet(const rmt::PacketObservation& obs) override;
   void on_batch(const rmt::BatchTally& tally) override;

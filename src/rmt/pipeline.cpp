@@ -209,14 +209,34 @@ Pipeline::BatchResult Pipeline::inject_batch(std::span<const Packet> pkts) {
   };
 
   PacketObserver* const observer = observer_;
+  // Packets left before the observer's next sample, and those run since its
+  // rotation was last told.
+  std::uint64_t gap = observer != nullptr ? observer->sample_gap() : 0;
+  std::uint64_t skipped = 0;
   for (const Packet& pkt : pkts) {
+    bool sampled = false;
+    if (observer != nullptr) {
+      if (gap > 0) {
+        --gap;
+        ++skipped;
+      } else {
+        observer->skip_samples(skipped);
+        skipped = 0;
+        sampled = observer->sample_packet();
+      }
+    }
     // Journey-sampled packets and packets run under global tracing keep
-    // inject()'s traced route, on_packet() included.
-    const bool sampled = observer != nullptr && observer->sample_packet();
+    // inject()'s traced route, on_packet() included. Its alerts can freeze
+    // the recorder, so the gap is asked again afterwards.
     if (sampled || tracing_) {
       const PipelineResult result = inject_one(pkt, sampled);
       fold(result.fate);
       out.recirc_passes += static_cast<std::uint64_t>(result.recirc_passes);
+      if (observer != nullptr) {
+        observer->skip_samples(skipped);
+        skipped = 0;
+        gap = observer->sample_gap();
+      }
       continue;
     }
 
@@ -243,6 +263,7 @@ Pipeline::BatchResult Pipeline::inject_batch(std::span<const Packet> pkts) {
     if (observer != nullptr) tally_packet(phv, fate, recircs);
   }
 
+  if (observer != nullptr) observer->skip_samples(skipped);
   if (observer != nullptr && !tally_.touched.empty()) {
     tally_.table_trace = table_trace_;
     observer->on_batch(tally_);

@@ -113,11 +113,14 @@ struct BatchTally {
 };
 
 /// Attribution hook (implemented by obs::ProgramHealthMonitor).
-/// sample_packet() is consulted once per packet before parsing, so the
-/// pipeline can enable tracing for exactly the packets whose journey the
-/// observer wants. Per-packet inject() reports each packet through
-/// on_packet(); inject_batch() reports only its sampled or traced packets
-/// that way and folds the rest into one on_batch() call at batch end.
+/// Per-packet inject() consults sample_packet() before parsing each packet,
+/// so the pipeline can enable tracing for exactly the packets whose journey
+/// the observer wants, and reports each packet through on_packet().
+/// inject_batch() instead asks sample_gap() how many packets precede the
+/// next sample, runs those without a call, reports the run through
+/// skip_samples() and consults sample_packet() only for the packet at the
+/// gap's end; it reports only sampled or traced packets through on_packet()
+/// and folds the rest into one on_batch() call at batch end.
 /// sample_packet() sits on the hot path: implementations must not do name
 /// lookups or allocation there.
 class PacketObserver {
@@ -126,6 +129,14 @@ class PacketObserver {
   /// Return true to force per-packet tracing (journey capture) for the
   /// packet about to be injected.
   [[nodiscard]] virtual bool sample_packet() = 0;
+  /// How many of the next packets sample_packet() would certainly answer
+  /// false for. Only an on_packet() call may shorten the real gap, so the
+  /// batch loop asks again after every packet it reports that way. The
+  /// default (0) asks sample_packet() for every packet.
+  [[nodiscard]] virtual std::uint64_t sample_gap() { return 0; }
+  /// `n` packets ran without a sample_packet() call; count them as if each
+  /// had been asked (keeps a 1-in-N rotation in phase).
+  virtual void skip_samples(std::uint64_t n) { (void)n; }
   virtual void on_packet(const PacketObservation& obs) = 0;
   /// Counts of the batch packets that did not go through on_packet().
   virtual void on_batch(const BatchTally& tally) = 0;
