@@ -32,11 +32,6 @@ void release_removed(const ChainHop& hop, ProgramId id,
   hop.dataplane->clear_claim_counter(id);
 }
 
-[[nodiscard]] bool all_async(const std::vector<ChainHop>& hops) {
-  return std::all_of(hops.begin(), hops.end(),
-                     [](const ChainHop& hop) { return hop.updates->async(); });
-}
-
 }  // namespace
 
 // --- ChainTransaction -------------------------------------------------------
@@ -110,7 +105,10 @@ Status ChainTransaction::stage_all() {
   return {};
 }
 
-bool ChainTransaction::pipelined() const { return all_async(hops_); }
+bool ChainTransaction::pipelined() const {
+  return std::all_of(hops_.begin(), hops_.end(),
+                     [](const ChainHop& hop) { return hop.updates->async(); });
+}
 
 obs::SpanTracer::Scope ChainTransaction::commit_span(bool pipelined) {
   auto span = obs::span(chain_telemetry(), "chain_txn.commit", "ctrl");
@@ -123,41 +121,22 @@ obs::SpanTracer::Scope ChainTransaction::commit_span(bool pipelined) {
 void ChainTransaction::submit_hops() {
   // Submit every hop's op-log before settling any: the per-hop writer
   // threads drain their channels concurrently, so chain update latency is
-  // the slowest hop, not the sum of hops.
-  for (auto& txn : txns_) txn->commit_submit();
+  // the slowest hop, not the sum of hops. An inline channel settles at
+  // submission, so the hops run one after another and a hop that faults
+  // stops the loop: no later hop is written.
+  while (submitted_ < txns_.size()) {
+    DeployTransaction& txn = *txns_[submitted_++];
+    txn.commit_submit();
+    if (txn.faulted()) break;
+  }
   phase_ = Phase::Submitted;
 }
 
 Status ChainTransaction::commit_all() {
   assert(phase_ == Phase::Staged);
-  const bool pipelined = this->pipelined();
-  auto span = commit_span(pipelined);
-  if (pipelined) {
-    submit_hops();
-    return finish_all();
-  }
-
-  for (std::size_t h = 0; h < txns_.size(); ++h) {
-    auto installed = txns_[h]->commit();
-    if (!installed.ok()) {
-      // Hop h's engine journal already restored hop h and the transaction
-      // rolled its reservations back. Un-commit every hop before it and
-      // release the reservations of every hop after it.
-      faulted_hop_ = static_cast<int>(h);
-      auto unwind_span = obs::span(chain_telemetry(), "chain_txn.unwind", "ctrl");
-      unwind_span.arg("committed_hops", static_cast<std::uint64_t>(h));
-      for (std::size_t g = h; g-- > 0;) {
-        unwind_committed_hop(static_cast<int>(g), installed_[g]);
-      }
-      for (std::size_t g = h + 1; g < txns_.size(); ++g) txns_[g]->rollback();
-      installed_.clear();
-      phase_ = Phase::RolledBack;
-      return installed.error();
-    }
-    installed_.push_back(std::move(installed).take());
-  }
-  phase_ = Phase::Committed;
-  return {};
+  auto span = commit_span(pipelined());
+  submit_hops();
+  return finish_all();
 }
 
 void ChainTransaction::submit_all() {
@@ -176,9 +155,10 @@ void ChainTransaction::wait_all() {
 
 Status ChainTransaction::finish_all() {
   assert(phase_ == Phase::Submitted);
-  std::vector<std::unique_ptr<InstalledProgram>> committed(txns_.size());
+  installed_.resize(txns_.size());
+  std::vector<bool> committed(txns_.size(), false);
   Status first_error;
-  for (std::size_t h = 0; h < txns_.size(); ++h) {
+  for (std::size_t h = 0; h < submitted_; ++h) {
     auto installed = txns_[h]->commit_finish();
     if (!installed.ok()) {
       // Keep settling the remaining hops — their writer jobs reference
@@ -189,24 +169,25 @@ Status ChainTransaction::finish_all() {
       }
       continue;
     }
-    committed[h] = std::make_unique<InstalledProgram>(std::move(installed).take());
+    installed_[h] = std::move(installed).take();
+    committed[h] = true;
   }
   if (!first_error.ok()) {
     // Faulted hops rolled themselves back at finish; un-commit every hop
     // that settled successfully — including those AFTER the faulted hop
-    // (they were already in flight when the fault surfaced).
-    std::size_t committed_hops = 0;
-    for (const auto& p : committed) committed_hops += p != nullptr ? 1u : 0u;
+    // (they were already in flight when the fault surfaced) — and release
+    // the reservations of the hops never submitted.
+    const auto committed_hops = std::count(committed.begin(), committed.end(), true);
     auto unwind_span = obs::span(chain_telemetry(), "chain_txn.unwind", "ctrl");
     unwind_span.arg("committed_hops", static_cast<std::uint64_t>(committed_hops));
     for (std::size_t g = committed.size(); g-- > 0;) {
-      if (committed[g]) unwind_committed_hop(static_cast<int>(g), *committed[g]);
+      if (committed[g]) unwind_committed_hop(static_cast<int>(g), installed_[g]);
     }
+    for (std::size_t g = submitted_; g < txns_.size(); ++g) txns_[g]->rollback();
+    installed_.clear();
     phase_ = Phase::RolledBack;
     return first_error;
   }
-  installed_.reserve(committed.size());
-  for (auto& program : committed) installed_.push_back(std::move(*program));
   phase_ = Phase::Committed;
   return {};
 }
@@ -251,8 +232,8 @@ void ChainTransaction::unwind_committed_hop(int hop, InstalledProgram& program) 
 
   // remove() zeroed the blocks; put the pre-transaction residual bytes back
   // so even free memory is byte-identical. The inverse op is discarded —
-  // this IS the rollback. (The inline remove drained the hop's writer, and
-  // nothing can submit while the session lock is held.)
+  // this IS the rollback. (remove() settled the hop's write, and nothing
+  // can submit while the session lock is held.)
   for (const Residual& residual : residuals_[static_cast<std::size_t>(hop)]) {
     if (residual.words.empty()) continue;
     dp::WriteOp op;
@@ -302,32 +283,19 @@ void ChainRemoval::capture_images() {
 }
 
 Status ChainRemoval::remove() {
-  if (all_async(hops_)) {
-    submit();
-    return finish();
-  }
-  capture_images();
-  for (std::size_t h = 0; h < hops_.size(); ++h) {
-    if (auto s = hops_[h].updates->remove(*programs_[h]); !s.ok()) {
-      // Hop h's removal journal restored the program there (fresh handles,
-      // resources intact). Re-install the hops already removed, nearest
-      // first.
-      for (std::size_t g = h; g-- > 0;) reinstall(g);
-      faulted_hop_ = static_cast<int>(h);
-      return s;
-    }
-    release_removed(hops_[h], programs_[h]->id, entries_[h]);
-  }
-  return {};
+  submit();
+  return finish();
 }
 
 void ChainRemoval::submit() {
-  assert(all_async(hops_));
-  // Images first: the writers own the programs' handles once submitted.
+  // Images first: the jobs own the programs' handles once submitted. An
+  // inline channel settles at submission, so a hop that faults stops the
+  // loop, like ChainTransaction::submit_hops.
   capture_images();
   pending_.reserve(hops_.size());
   for (std::size_t h = 0; h < hops_.size(); ++h) {
     pending_.push_back(hops_[h].updates->submit_remove(*programs_[h]));
+    if (pending_.back().faulted()) break;
   }
 }
 
@@ -338,8 +306,8 @@ void ChainRemoval::wait() {
 Status ChainRemoval::finish() {
   std::vector<bool> removed(hops_.size(), false);
   Status first_error;
-  for (std::size_t h = 0; h < hops_.size(); ++h) {
-    const Status s = hops_[h].updates->finish_remove(pending_[h], *programs_[h]);
+  for (std::size_t h = 0; h < pending_.size(); ++h) {
+    const Status s = hops_[h].updates->finish_remove(pending_[h]);
     if (!s.ok()) {
       // Hop h's removal journal restored the program there. Keep settling
       // the remaining hops — their writes are already in flight.
@@ -355,8 +323,7 @@ Status ChainRemoval::finish() {
   if (faulted_hop_ >= 0) {
     // Re-install every hop that removed cleanly — including hops AFTER the
     // faulted one (their removes were in flight when the fault surfaced) —
-    // nearest-last so the hop order of the restore mirrors the serial
-    // unwind.
+    // in reverse hop order.
     for (std::size_t g = hops_.size(); g-- > 0;) {
       if (removed[g]) reinstall(g);
     }

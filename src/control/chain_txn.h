@@ -10,7 +10,9 @@
 //     lands anywhere; any hop's AllocFailed / staging error aborts the
 //     whole chain with nothing but reservation churn to undo.
 //   phase 2 (commit_all, or submit_all / wait_all / finish_all): execute
-//     each hop's staged op-log through that hop's UpdateEngine. A channel
+//     each hop's staged op-log through that hop's UpdateEngine — one hop
+//     after another on inline channels, concurrently on writer threads
+//     (pipelined). A channel
 //     fault at ANY (hop, write index) pair unwinds: the faulted hop is
 //     restored by its engine's rollback journal, and every hop committed
 //     around it is un-committed (consistent remove + reservation release +
@@ -54,7 +56,7 @@ class ChainTransaction {
   enum class Phase : std::uint8_t {
     Solved,      ///< per-hop allocations bound, nothing reserved yet
     Staged,      ///< every hop reserved + staged, no dataplane writes yet
-    Submitted,   ///< op-logs in flight on every hop's async channel
+    Submitted,   ///< op-logs handed to the hops' channels
     Committed,   ///< op-logs executed on every hop
     RolledBack,  ///< pre-transaction state restored on every hop
   };
@@ -80,18 +82,21 @@ class ChainTransaction {
   /// RolledBack (faulted_hop() names the hop that failed).
   Status stage_all();
 
-  /// Phase 2: execute the staged op-logs hop by hop. On a fault the whole
-  /// chain is restored (see file comment) and the transaction is
-  /// RolledBack; faulted_hop() names the hop whose write failed.
+  /// Phase 2: submit every hop's op-log, then settle them in hop order. On
+  /// a fault the whole chain is restored (see file comment) and the
+  /// transaction is RolledBack; faulted_hop() names the hop whose write
+  /// failed.
   ///
-  /// Pipelined mode (every hop's engine async): all op-logs are submitted
-  /// up front and the hops' writers drain their channels concurrently, so
-  /// chain update latency is the slowest hop, not the sum. Each op-log
-  /// still runs in consistent-update order on its own channel, settlement
-  /// is in hop order, and a fault on any hop still un-commits every hop
-  /// that settled, before or after it. That is submit_all() + finish_all()
-  /// under one lock hold; a session that releases its lock while the
-  /// channels drain calls them itself, with wait_all() (lock-free) between.
+  /// An inline channel settles each hop at its submission, so the chain
+  /// pays the sum of its hops and a fault stops the submissions: the hops
+  /// before it are un-committed, the hops after it never written. Pipelined
+  /// mode (every hop's engine async): the hops' writers drain their
+  /// channels concurrently, so chain update latency is the slowest hop, not
+  /// the sum. Each op-log still runs in consistent-update order on its own
+  /// channel, and a fault on any hop un-commits every hop that settled,
+  /// before or after it. A session that releases its lock while the
+  /// channels drain calls submit_all() / wait_all() (lock-free) /
+  /// finish_all() itself.
   Status commit_all();
   [[nodiscard]] bool pipelined() const;
   void submit_all();
@@ -136,7 +141,8 @@ class ChainTransaction {
   }
   /// The chain_txn.commit span (inert without chain spans).
   [[nodiscard]] obs::SpanTracer::Scope commit_span(bool pipelined);
-  /// Hand every hop's staged op-log to its writer (phase -> Submitted).
+  /// Hand every hop's staged op-log to its engine, stopping at a hop that
+  /// faults inline (phase -> Submitted).
   void submit_hops();
   /// Un-commit one hop: consistent remove, release entries, erase the
   /// program record, restore the blocks' residual bytes.
@@ -154,6 +160,7 @@ class ChainTransaction {
   Phase phase_ = Phase::Solved;
   int faulted_hop_ = -1;
   std::vector<std::unique_ptr<DeployTransaction>> txns_;   // [hop]
+  std::size_t submitted_ = 0;  ///< hops handed to their channels, in order
   std::vector<std::vector<Residual>> residuals_;           // [hop]
   std::vector<InstalledProgram> installed_;                // [hop], when Committed
 };
@@ -167,9 +174,10 @@ class ChainRemoval {
  public:
   ChainRemoval(std::vector<ChainHop> hops, std::vector<InstalledProgram*> programs);
 
-  /// Remove under one lock hold: hop by hop, or pipelined like
-  /// ChainTransaction::commit_all when every hop's engine is async, which
-  /// is submit() + finish(); a parked session calls wait() off-lock between.
+  /// Remove under one lock hold: submit() + finish(), hop by hop on inline
+  /// channels (a fault stops the submissions) or pipelined like
+  /// ChainTransaction::commit_all on writer threads; a parked session calls
+  /// wait() off-lock between.
   Status remove();
   void submit();
   void wait();
@@ -195,7 +203,7 @@ class ChainRemoval {
   std::vector<InstalledProgram*> programs_;
   std::vector<std::map<int, std::uint32_t>> entries_;  ///< [hop] rpb -> entries held
   std::vector<HopImage> images_;                       ///< [hop], chains only
-  std::vector<UpdateEngine::PendingWrite> pending_;    ///< [hop], split form
+  std::vector<UpdateEngine::PendingWrite> pending_;    ///< [hop], submitted hops
   int faulted_hop_ = -1;
 };
 

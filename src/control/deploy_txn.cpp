@@ -22,9 +22,9 @@ DeployTransaction::DeployTransaction(DeployContext ctx,
 
 DeployTransaction::~DeployTransaction() {
   if (phase_ == Phase::Submitted) {
-    // Abandoning an in-flight transaction would leave the writer's job
+    // Abandoning a submitted transaction would leave a queued job
     // referencing our staged batch: settle it first. (The write completes —
-    // submission is the commit point on the async channel.)
+    // submission is the commit point on the channel.)
     (void)commit_finish();
   }
   if (phase_ != Phase::Committed && phase_ != Phase::RolledBack) rollback();
@@ -111,30 +111,14 @@ void DeployTransaction::stage() {
   phase_ = Phase::Staged;
 }
 
-Result<InstalledProgram> DeployTransaction::commit() {
-  assert(phase_ == Phase::Staged);
-  if (ctx_.updates.async()) {
-    // Single-call flows in async mode submit and settle inline; only the
-    // pipelined paths use the split directly.
-    commit_submit();
-    return commit_finish();
-  }
-  auto commit_span = obs::span(ctx_.telemetry, "txn.commit", "ctrl");
-  commit_span.arg("ops", static_cast<std::uint64_t>(batch_.size()));
-  return finalize(ctx_.updates.execute_install(batch_));
-}
-
 void DeployTransaction::commit_submit() {
   assert(phase_ == Phase::Staged);
-  assert(ctx_.updates.async() && "commit_submit requires an async update engine");
-  {
-    // Closed immediately: the channel time is reported by the bfrt spans the
-    // finish replays, not by the submission.
-    auto commit_span = obs::span(ctx_.telemetry, "txn.commit", "ctrl");
-    commit_span.arg("ops", static_cast<std::uint64_t>(batch_.size()));
-    commit_span.arg("async", "1");
-  }
+  auto commit_span = obs::span(ctx_.telemetry, "txn.commit", "ctrl");
+  commit_span.arg("ops", static_cast<std::uint64_t>(batch_.size()));
   pending_ = ctx_.updates.submit_install(batch_);
+  // Still in flight: the channel time is reported by the bfrt spans
+  // commit_finish replays, not by this span.
+  if (!pending_.settled) commit_span.arg("async", "1");
   phase_ = Phase::Submitted;
 }
 
@@ -149,12 +133,7 @@ Result<InstalledProgram> DeployTransaction::commit_finish() {
   channel_ms_ = static_cast<double>(pending_.outcome->completion_ns -
                                     pending_.submitted_ns) /
                 1e6;
-  phase_ = Phase::Staged;  // settled; finalize() decides Committed/RolledBack
-  return finalize(std::move(applied));
-}
-
-Result<InstalledProgram> DeployTransaction::finalize(
-    Result<UpdateEngine::AppliedEntries> applied) {
+  phase_ = Phase::Staged;  // settled; Committed or RolledBack below
   if (!applied.ok()) {
     // The engine's journal already restored the dataplane; return the
     // reservations so nothing of the transaction survives.

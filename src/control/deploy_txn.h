@@ -2,18 +2,19 @@
 // One DeployTransaction owns a single program deployment and walks it
 // through explicit phases:
 //
-//   compile (caller) -> reserve -> plan-entries -> stage -> commit
-//                                                        \-> rollback
+//   compile (caller) -> reserve -> plan-entries -> stage -> submit -> finish
+//                                                                 \-> rollback
 //
 // reserve() takes memory blocks and table-entry reservations from the
 // resource manager; plan_entries() binds the IR to concrete RPB entries;
 // stage() builds the declarative op-log (dp::WriteBatch) — relink
 // carry-over memory writes first, then the consistent-update install order —
-// WITHOUT touching the dataplane; commit() hands the batch to the update
-// engine, whose rollback journal guarantees a fault at any write index
-// leaves the dataplane byte-identical. rollback() (also run by the
-// destructor on abandonment) returns every reservation; after it, no trace
-// of the transaction remains anywhere but the audit log.
+// WITHOUT touching the dataplane; commit_submit() hands the batch to the
+// update engine, whose rollback journal guarantees a fault at any write
+// index leaves the dataplane byte-identical, and commit_finish() adopts the
+// result. rollback() (also run by the destructor on abandonment) returns
+// every reservation; after it, no trace of the transaction remains anywhere
+// but the audit log.
 //
 // Locking discipline: a transaction is single-threaded and must run under
 // the controller's session lock from reserve() onward — compile/solve are
@@ -55,7 +56,7 @@ class DeployTransaction {
     Reserved,    ///< memory blocks + table entries held
     Planned,     ///< entry plan generated against the reservations
     Staged,      ///< op-log built, dataplane still untouched
-    Submitted,   ///< op-log in flight on the async channel (writer thread)
+    Submitted,   ///< op-log handed to the channel (settled already if inline)
     Committed,   ///< op-log executed; resources belong to the program now
     RolledBack,  ///< every reservation returned
   };
@@ -80,42 +81,40 @@ class DeployTransaction {
   /// Build the op-log: carry-over WriteMemRange ops first (relink), then
   /// the install sequence in consistent-update order.
   void stage();
-  /// Execute the op-log through the update engine. On success the program
-  /// is recorded with the resource manager and announced to the monitor; on
-  /// failure the engine's journal has already unwound the dataplane and
-  /// this transaction rolls its reservations back before returning. In
-  /// async mode this routes through commit_submit + commit_finish inline.
-  Result<InstalledProgram> commit();
 
-  // --- split commit (async channel) --------------------------------------
-  // The pipelined paths separate submission from settlement so a session
-  // can release its lock (or submit the next hop) while the writer drains
-  // the channel:
+  // --- commit: submit, (wait), finish -------------------------------------
+  // Submission and settlement are separate so a session can release its
+  // lock (or submit the next hop) while a writer thread drains the channel:
   //   commit_submit()  — under the session lock: hand the op-log to the
-  //                      writer, phase -> Submitted, return immediately.
-  //   commit_wait()    — OPTIONAL, lock-free: block until the writer
-  //                      signals completion (no shared state touched).
+  //                      engine, phase -> Submitted. An inline engine runs
+  //                      and settles the write right here.
+  //   commit_wait()    — OPTIONAL, lock-free: block until the write
+  //                      completes (no shared state touched).
   //   commit_finish()  — under the session lock: settle the write (clock
-  //                      advance, telemetry replay), then the same
-  //                      success/rollback handling as commit().
-  // Requires the context's update engine to be in async mode.
+  //                      advance, telemetry replay) if the engine has not,
+  //                      then record + announce the program, or roll back.
 
-  /// Submit the staged op-log to the engine's writer thread. Caller must
-  /// hold the session lock and must keep this transaction alive until
-  /// commit_finish (the in-flight job references the staged batch).
+  /// Submit the staged op-log under a "txn.commit" span. An inline write
+  /// settles inside the span, so its bfrt spans nest under it; a writer's
+  /// span closes at submission (arg async=1) and commit_finish replays the
+  /// bfrt spans. Caller must hold the session lock and must keep this
+  /// transaction alive until commit_finish (a queued job references the
+  /// staged batch).
   void commit_submit();
   /// Block until the submitted write completes. Safe to call WITHOUT the
   /// session lock — this is the point a session parks while other sessions
   /// (or other hops) use the lock and the channel.
   void commit_wait();
   /// Settle the submitted write under the session lock: on success record +
-  /// announce the program (phase Committed); on a writer-reported fault the
-  /// dataplane is already unwound — roll reservations back and return the
-  /// error.
+  /// announce the program (phase Committed); on a fault the dataplane is
+  /// already unwound — roll reservations back and return the error.
   Result<InstalledProgram> commit_finish();
+  /// True once the submitted write settled with a fault (an inline engine
+  /// settles at submission).
+  [[nodiscard]] bool faulted() const { return pending_.faulted(); }
   /// Virtual milliseconds the write spent on the channel, from submission
-  /// to completion (valid after commit_finish). The pipelined chain uses it
-  /// to report per-hop channel occupancy.
+  /// to completion (valid after commit_finish). The chain reports its
+  /// slowest hop's.
   [[nodiscard]] double channel_ms() const noexcept { return channel_ms_; }
   /// Release reservations (idempotent; no-op once Committed).
   void rollback();
@@ -126,10 +125,6 @@ class DeployTransaction {
   [[nodiscard]] const dp::WriteBatch& staged_batch() const noexcept { return batch_; }
 
  private:
-  /// Shared tail of commit()/commit_finish(): on success build + record +
-  /// announce the InstalledProgram; on failure roll reservations back.
-  Result<InstalledProgram> finalize(Result<UpdateEngine::AppliedEntries> applied);
-
   DeployContext ctx_;
   const rp::TranslatedProgram& ir_;
   rp::AllocationResult alloc_;

@@ -67,18 +67,17 @@ class ResourceManager {
   /// First-fit allocation of a contiguous block; fails when no free
   /// partition is large enough (external fragmentation, §7).
   Result<MemBlock> allocate_memory(int rpb, std::uint32_t size);
-  /// Return a block to the free list, coalescing with neighbours.
+  /// Return a block to the free list, coalescing with neighbours. A
+  /// removed program's blocks come back here only when its remove settles,
+  /// so each stays reserved while it resets (lock-and-reset, Fig. 6 step 4).
   void free_memory(int rpb, const MemBlock& block);
-  /// Carve a *specific* block back out of the free list (rollback of a
-  /// revoke transaction: the freed block must return to exactly its old
-  /// place so the pre-transaction occupancy is byte-identical). Fails with
+  /// Carve a *specific* block back out of the free list (a chain revoke
+  /// that faulted re-installs the hops that removed cleanly: their freed
+  /// blocks must return to exactly their old place so the pre-transaction
+  /// occupancy is byte-identical). Fails with
   /// Conflict when any part of the range has been re-allocated meanwhile —
   /// impossible under the commit lock, so a failure indicates a journal bug.
   Status reclaim_block(int rpb, const MemBlock& block);
-  /// Take a block out of circulation during program termination; it stays
-  /// unavailable until `unlock_memory` (lock-and-reset, Fig. 6 step 4).
-  void lock_memory(int rpb, const MemBlock& block);
-  void unlock_memory(int rpb, const MemBlock& block);
 
   Status reserve_entries(int rpb, std::uint32_t count);
   void release_entries(int rpb, std::uint32_t count);

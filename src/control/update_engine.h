@@ -12,29 +12,32 @@
 // Ordering guarantees (no incorrectly processed packet is ever exposed):
 //   add:    recirculation entries -> RPB entries -> init filters last
 //   delete: init filters first -> RPB/recirculation entries ->
-//           lock + reset + unlock memory
+//           reset memory (each block stays reserved until the remove
+//           settles: lock-and-reset)
 // Because the program id is assigned only by the init filter, a program is
 // invisible until its last add step and atomically disabled by the first
 // delete step. The op-log builders (rp::stage_install / rp::stage_remove)
 // encode this order; the executor never reorders.
 //
-// Asynchronous channel (docs/ARCHITECTURE.md "Async control channel"):
-// set_async(true) attaches a per-engine writer thread (AsyncWriter) that
-// drains submitted op-logs through the simulated channel off the caller's
-// thread. submit_install / submit_remove capture the virtual submission
-// time under the session lock and enqueue the job; the writer applies the
-// dataplane ops and *records* the channel charges against its own channel
-// cursor (it never touches the clock or the telemetry bundle); finish_*
-// waits for completion, advances the clock to the channel's completion
-// time, and replays the recorded charges as closed "bfrt.*" spans carrying
-// the submit-time trace id. execute_install / remove auto-route through
-// the writer in async mode, so single-call flows (and the chain unwind
-// paths) behave identically — they just block inline. Adjacent same-kind
-// batches with no idle channel gap coalesce into one multi-batch
-// submission: the follow-up batch skips the per-batch channel overhead
-// (ctrl.bfrt.coalesced_batches counts them). Faults reported by the writer
-// unwind on the writer thread exactly like the serial path, so a fault at
-// any write index still restores byte-identical state.
+// One channel executor (docs/ARCHITECTURE.md "Async control channel"):
+// every write is a job. submit_install / submit_remove capture the virtual
+// submission time and trace id under the session lock; the job applies the
+// op-log and *records* its channel charges against a channel cursor (it
+// never touches the clock, the telemetry bundle or the resource manager);
+// settling the job advances the clock to the channel's completion time,
+// replays the charges as closed "bfrt.*" spans stamped with the
+// submit-time trace id, and returns the memory blocks a remove reset to
+// the allocator. By default (serial) the job runs inline on the caller's
+// thread and settles before submit returns; its cursor starts at the
+// submission time and never coalesces. set_async(true) attaches a
+// per-engine writer thread (AsyncWriter) that runs the same jobs off the
+// caller's thread; finish_* waits for the job and settles it there. On the
+// writer, adjacent same-kind batches with no idle channel gap coalesce into
+// one multi-batch submission: the follow-up batch skips the per-batch
+// channel overhead (ctrl.bfrt.coalesced_batches counts them).
+// execute_install / remove are submit + finish. A fault at any write index
+// unwinds the journal inside the job in either mode, so it still restores
+// byte-identical state.
 #pragma once
 
 #include <cstdint>
@@ -103,8 +106,8 @@ class UpdateEngine {
     std::vector<rmt::EntryHandle> recirc_handles;
   };
 
-  /// One charge the writer pushed through the virtual channel, in channel
-  /// order. Replayed into the tracer/metrics at finish time.
+  /// One charge a job pushed through the virtual channel, in channel
+  /// order. Replayed into the tracer/metrics when the job settles.
   struct ChannelCharge {
     enum class Kind : std::uint8_t { Batch, MemReset };
     Kind kind = Kind::Batch;
@@ -115,32 +118,39 @@ class UpdateEngine {
     bool coalesced = false;   ///< batch rode a same-kind predecessor's sync
   };
 
-  /// Everything an async write job produces. Filled on the writer thread,
-  /// read by the caller after the completion future resolves (the future
-  /// wait is the happens-before edge).
+  /// Everything a write job produces. Filled by the job (on the writer
+  /// thread in async mode), read by the caller after the completion future
+  /// resolves (the future wait is the happens-before edge).
   struct WriteOutcome {
     std::optional<Result<AppliedEntries>> applied;  ///< install jobs
     std::optional<Status> removed;                  ///< remove jobs
     std::vector<ChannelCharge> charges;
-    /// Memory blocks a successful remove reset; freed by finish_remove
-    /// (the writer never touches the resource manager).
-    std::vector<std::pair<int, MemBlock>> deferred_frees;
     SimClock::Nanos completion_ns = 0;
     std::uint64_t trace = 0;  ///< trace id active at submission
     bool maintenance = false;  ///< submitted while in maintenance mode
-    /// Remove jobs own their staged batch (install batches are owned by the
-    /// transaction, which outlives the finish).
-    std::shared_ptr<dp::WriteBatch> batch;
+    /// Remove jobs own their staged batch and point at the program they
+    /// retire (install batches are owned by the transaction, which outlives
+    /// the finish). A clean remove's ResetMemRange ops name the blocks the
+    /// settle frees (the job never touches the resource manager).
+    dp::WriteBatch batch;
+    InstalledProgram* program = nullptr;
   };
 
-  /// Handle to an in-flight submitted write. Obtain with submit_*, settle
-  /// with the matching finish_* (every submit MUST be finished — the job
-  /// references caller-owned state).
+  /// Handle to a submitted write. Obtain with submit_*, settle with the
+  /// matching finish_* (every submit MUST be finished — a queued job
+  /// references caller-owned state). An inline job is settled already when
+  /// submit returns.
   struct PendingWrite {
     std::shared_ptr<WriteOutcome> outcome;
-    std::future<void> done;
+    std::shared_future<void> done;  ///< ready once the job completed
     SimClock::Nanos submitted_ns = 0;
-    std::size_t ops = 0;
+    bool settled = false;  ///< clock, telemetry and frees already applied
+
+    /// True once the write settled with a fault (the dataplane is unwound).
+    [[nodiscard]] bool faulted() const {
+      if (!settled) return false;
+      return outcome->applied ? !outcome->applied->ok() : !outcome->removed->ok();
+    }
   };
 
   /// Execute a staged install op-log (WriteMemRange carry-over ops plus
@@ -148,50 +158,52 @@ class UpdateEngine {
   /// kind are charged as one bfrt batch. On any failure — injected channel
   /// fault or a rejected write — the rollback journal unwinds every applied
   /// op and the error (ChannelError for faults) is returned; the dataplane
-  /// is then byte-identical to its pre-call state. In async mode this
-  /// routes through the writer and blocks inline (submit + finish).
+  /// is then byte-identical to its pre-call state. Equivalent to
+  /// submit_install + finish_install (with a writer, it blocks until the
+  /// job completes).
   Result<AppliedEntries> execute_install(const dp::WriteBatch& batch);
 
   /// Consistently remove a program and release its memory. On success the
   /// program's handle vectors and placements are cleared (entry
   /// reservations stay the caller's to release). On a mid-removal channel
-  /// fault the journal restores everything already deleted — including
-  /// re-reserving reset memory blocks and writing their contents back — and
-  /// `program` is left fully installed with its fresh handles. Async mode
-  /// routes through the writer and blocks inline.
+  /// fault the journal restores everything already deleted — including the
+  /// contents of reset memory blocks, which stay reserved until the remove
+  /// settles — and `program` is left fully installed with its fresh
+  /// handles. Equivalent to submit_remove + finish_remove.
   Status remove(InstalledProgram& program);
 
-  // --- asynchronous channel ----------------------------------------------
+  // --- channel executor ---------------------------------------------------
 
   /// Attach (true) or drain-and-detach (false) the writer thread. Call only
-  /// under the session lock with no write in flight. Async mode is opt-in;
-  /// the default (serial) behavior is unchanged.
+  /// under the session lock with no write in flight. Without a writer
+  /// (the default) every job runs inline on the caller's thread.
   void set_async(bool enabled);
   [[nodiscard]] bool async() const noexcept { return writer_ != nullptr; }
 
-  /// Submit an install op-log to the writer. Caller must hold the session
-  /// lock (the submission time is read off the virtual clock) and must keep
-  /// `batch` alive until finish_install returns. Returns immediately; the
-  /// channel latency is charged when finish_install resolves the write.
+  /// Submit an install op-log. Caller must hold the session lock (the
+  /// submission time is read off the virtual clock) and must keep `batch`
+  /// alive until finish_install returns. Inline, the job runs and settles
+  /// before this returns; with a writer it returns immediately and the
+  /// channel latency is charged when finish_install settles the write.
   [[nodiscard]] PendingWrite submit_install(const dp::WriteBatch& batch);
-  /// Settle a submitted install: wait for the writer, advance the clock to
-  /// the channel completion time, replay the recorded charges into the
-  /// telemetry bundle and return the applied handles (or the fault, with
-  /// the dataplane already unwound). Caller must hold the session lock.
+  /// Settle a submitted install (wait for the job, advance the clock to the
+  /// channel completion time, replay the recorded charges into the
+  /// telemetry bundle) and return the applied handles, or the fault with
+  /// the dataplane already unwound. Caller must hold the session lock.
   Result<AppliedEntries> finish_install(PendingWrite& pending);
 
   /// Submit a consistent remove. Stages the op-log from the program's
   /// current handles under the session lock and announces the revoke (the
   /// program is logically retired at submission — its first delete step is
-  /// ordered before any later submission on this channel). The writer
-  /// mutates `program`'s handles (cleared on success, patched fresh on a
+  /// ordered before any later submission on this channel). The job mutates
+  /// `program`'s handles (cleared on success, patched fresh on a
   /// fault-unwind); callers must not touch the program until finish_remove.
   [[nodiscard]] PendingWrite submit_remove(InstalledProgram& program);
-  /// Settle a submitted remove: on success frees the reset memory blocks
-  /// (deferred from the writer) — entry reservations stay the caller's to
-  /// release; on a fault re-announces the restored program. Caller must
-  /// hold the session lock.
-  Status finish_remove(PendingWrite& pending, InstalledProgram& program);
+  /// Settle a submitted remove: on success the reset memory blocks return
+  /// to the free list — entry reservations stay the caller's to release;
+  /// on a fault the restored program is re-announced. Caller must hold the
+  /// session lock.
+  Status finish_remove(PendingWrite& pending);
 
   /// Block until the writer has drained every submitted job (no-op in
   /// serial mode). The read-side quiesce point: const queries take the
@@ -253,8 +265,7 @@ class UpdateEngine {
   /// operation, i.e. at every intermediate data-plane state of an update.
   /// Used by the consistency property tests to inject packets mid-update
   /// and assert no incorrectly processed packet is ever exposed (§4.3).
-  /// Serial mode only (in async mode the hook would run on the writer
-  /// thread).
+  /// Serial mode only (with a writer the hook would run on its thread).
   void set_step_observer(std::function<void()> observer) {
     step_observer_ = std::move(observer);
   }
@@ -267,53 +278,57 @@ class UpdateEngine {
     dp::WriteOp inverse;
   };
 
-  /// The writer thread's position on the virtual channel. `now` advances as
-  /// charges are recorded; `last_label` is the label of the last batch
-  /// pushed with no idle gap after it (the coalescing predecessor). Owned
-  /// by the writer thread while a job runs; persisted into the engine's
-  /// channel_cursor state between jobs.
+  /// A job's position on the virtual channel. `now` advances as charges
+  /// are recorded; `last_label` is the label of the last batch pushed with
+  /// no idle gap after it (the coalescing predecessor). A writer job
+  /// resumes the engine's persisted channel state and coalesces; an inline
+  /// job starts at its submission time and pays every batch's sync.
   struct ChannelCursor {
     SimClock::Nanos now = 0;
     std::string last_label;
-    std::vector<ChannelCharge>* charges = nullptr;
+    bool coalesce = true;
+    WriteOutcome* outcome = nullptr;  ///< where charges are recorded
   };
 
-  /// Charge one batched bfrt write of `count` entries. Serial (null
-  /// cursor): advance the clock, open a live "bfrt.batch" span, bump the
-  /// write counters. Async (writer thread): record a ChannelCharge against
-  /// the cursor, coalescing with a same-label predecessor (skips the
-  /// per-batch overhead).
-  void charge_batch(std::size_t count, const char* what, ChannelCursor* cursor);
-  /// Apply one memory-reset op. Serial: lock, zero, charge the block-reset
-  /// model, unlock (returns the block to the free list). Async: zero and
-  /// record the charge; the free is deferred to finish_remove via
-  /// `outcome->deferred_frees`.
-  dp::WriteOp apply_mem_reset(const dp::WriteOp& op, ChannelCursor* cursor,
-                              WriteOutcome* outcome);
+  /// Record one batched bfrt write of `count` entries against the cursor,
+  /// coalescing with a same-label predecessor (skips the per-batch
+  /// overhead) when the cursor allows it.
+  void charge_batch(std::size_t count, const char* what, ChannelCursor& cursor);
+  /// Apply one memory-reset op: zero the range and record the block-reset
+  /// charge. The block stays reserved while it resets; it is freed when the
+  /// job settles.
+  dp::WriteOp apply_mem_reset(const dp::WriteOp& op, ChannelCursor& cursor);
   /// Unwind a journal in reverse order (uncharged — rollback writes are
   /// free, matching the pre-refactor unwinding).
   void unwind(std::vector<JournalEntry>& journal);
-  /// Unwind a failed removal: re-reserve reset blocks, restore their bytes,
-  /// re-add deleted entries and patch the fresh handles back into `program`.
-  /// `deferred_frees` true (async): the reset blocks were never freed (the
-  /// free is deferred to finish), so reclaiming them is skipped.
+  /// Unwind a failed removal: restore the reset blocks' bytes (they were
+  /// never freed), re-add deleted entries and patch the fresh handles back
+  /// into `program`.
   void rollback_remove(const dp::WriteBatch& batch,
                        std::vector<JournalEntry>& journal,
-                       InstalledProgram& program, bool deferred_frees);
+                       InstalledProgram& program);
 
-  /// Shared forward-path cores. Null cursor = serial (live telemetry, clock
-  /// charges); non-null = writer thread (charge recording only).
+  /// The forward-path cores a job runs.
   Result<AppliedEntries> run_install(const dp::WriteBatch& batch,
-                                     ChannelCursor* cursor);
+                                     ChannelCursor& cursor);
   Status run_remove(const dp::WriteBatch& batch, InstalledProgram& program,
-                    ChannelCursor* cursor, WriteOutcome* outcome);
+                    ChannelCursor& cursor);
 
-  /// Writer-thread bracket around one job: position the cursor at
-  /// max(submission, channel backlog), dropping the coalescing label across
-  /// idle gaps; persist the cursor when the job ends.
+  /// Hand a job to the channel: run it inline and settle it, or enqueue it
+  /// on the writer. `run` applies the op-log against the cursor and returns
+  /// true when the forward path completed (the tables are then published).
+  template <typename Run>
+  [[nodiscard]] PendingWrite submit_job(std::shared_ptr<WriteOutcome> outcome,
+                                        Run run);
+  /// Position a job's cursor: inline at the submission time; on the writer
+  /// at max(submission, channel backlog), dropping the coalescing label
+  /// across idle gaps.
   [[nodiscard]] ChannelCursor begin_job(SimClock::Nanos submitted_ns,
-                                        WriteOutcome* outcome);
-  void end_job(const ChannelCursor& cursor);
+                                        WriteOutcome& outcome, bool queued);
+  /// Settle a completed job once: advance the clock, replay its charges,
+  /// free a clean remove's reset blocks and re-announce a program whose
+  /// remove faulted. Caller holds the session lock.
+  void settle(PendingWrite& pending);
 
   /// Replay a completed job's charges into the tracer (closed spans at the
   /// recorded virtual times, stamped with the submit-time trace id) and the
@@ -350,9 +365,9 @@ class UpdateEngine {
   SimClock& clock_;
   BfrtCostModel cost_;
 
-  // Channel-cursor state between async jobs: virtual time the channel
-  // drains at, and the coalescing label. Touched only on the writer thread
-  // (begin_job/end_job); the jobs' FIFO order makes it deterministic.
+  // Channel-cursor state between writer jobs: virtual time the channel
+  // drains at, and the coalescing label. Touched only on the writer thread;
+  // the jobs' FIFO order makes it deterministic.
   SimClock::Nanos channel_cursor_ns_ = 0;
   std::string channel_last_label_;
   std::unique_ptr<AsyncWriter> writer_;  ///< non-null = async mode
